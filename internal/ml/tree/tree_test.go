@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -228,5 +229,242 @@ func TestFullyGrownFitsTrainingData(t *testing.T) {
 	// A handful of bin-collision errors are acceptable.
 	if wrong > n/50 {
 		t.Errorf("fully grown tree misfits %d/%d training points", wrong, n)
+	}
+}
+
+// refGrow is a verbatim copy of the original grower: a gini evaluation at
+// every bin boundary below the node's largest code, one histogram slot per
+// raw bootstrap draw. TestGrowMatchesReference holds the optimised grower
+// to it bit for bit.
+func refGrow(binned [][]uint8, labels []bool, idx []int, cfg Config) *Tree {
+	if cfg.MinLeaf < 1 {
+		cfg.MinLeaf = 1
+	}
+	t := &Tree{importance: make([]float64, len(binned))}
+	g := refGrower{binned: binned, labels: labels, cfg: cfg, t: t, total: len(idx)}
+	g.featScratch = make([]int, len(binned))
+	for j := range g.featScratch {
+		g.featScratch[j] = j
+	}
+	g.grow(idx, 0)
+	return t
+}
+
+type refGrower struct {
+	binned      [][]uint8
+	labels      []bool
+	cfg         Config
+	t           *Tree
+	total       int
+	featScratch []int
+	hist        [MaxBins][2]int32
+}
+
+func (g *refGrower) grow(idx []int, depth int) int32 {
+	pos := 0
+	for _, i := range idx {
+		if g.labels[i] {
+			pos++
+		}
+	}
+	n := len(idx)
+	prob := float32(pos) / float32(n)
+	me := int32(len(g.t.nodes))
+	g.t.nodes = append(g.t.nodes, node{leaf: true, prob: prob})
+	if pos == 0 || pos == n || n < 2*g.cfg.MinLeaf ||
+		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) {
+		return me
+	}
+	feature, bin, gain, ok := g.bestSplit(idx, pos)
+	if !ok {
+		return me
+	}
+	codes := g.binned[feature]
+	lo, hi := 0, n
+	for lo < hi {
+		if codes[idx[lo]] <= bin {
+			lo++
+		} else {
+			hi--
+			idx[lo], idx[hi] = idx[hi], idx[lo]
+		}
+	}
+	if lo == 0 || lo == n {
+		return me
+	}
+	g.t.nodes[me].leaf = false
+	g.t.nodes[me].feature = feature
+	g.t.nodes[me].bin = bin
+	if g.total > 0 {
+		g.t.importance[feature] += gain * float64(n) / float64(g.total)
+	}
+	left := g.grow(idx[:lo], depth+1)
+	right := g.grow(idx[lo:], depth+1)
+	g.t.nodes[me].left = left
+	g.t.nodes[me].right = right
+	return me
+}
+
+func (g *refGrower) bestSplit(idx []int, pos int) (feature int, bin uint8, bestGain float64, ok bool) {
+	n := len(idx)
+	total := [2]int32{int32(n - pos), int32(pos)}
+
+	feats := g.featScratch
+	k := len(feats)
+	if g.cfg.FeaturesPerSplit > 0 && g.cfg.FeaturesPerSplit < k {
+		k = g.cfg.FeaturesPerSplit
+		for i := 0; i < k; i++ {
+			j := i + g.cfg.Rng.Intn(len(feats)-i)
+			feats[i], feats[j] = feats[j], feats[i]
+		}
+	}
+
+	parentGini := refGini(total)
+	bestGain = 1e-12
+	ok = false
+	for _, f := range feats[:k] {
+		codes := g.binned[f]
+		maxBin := uint8(0)
+		for b := range g.hist {
+			g.hist[b][0], g.hist[b][1] = 0, 0
+		}
+		for _, i := range idx {
+			c := codes[i]
+			if g.labels[i] {
+				g.hist[c][1]++
+			} else {
+				g.hist[c][0]++
+			}
+			if c > maxBin {
+				maxBin = c
+			}
+		}
+		var left [2]int32
+		for b := 0; b < int(maxBin); b++ {
+			left[0] += g.hist[b][0]
+			left[1] += g.hist[b][1]
+			ln := left[0] + left[1]
+			rn := int32(n) - ln
+			if ln < int32(g.cfg.MinLeaf) || rn < int32(g.cfg.MinLeaf) {
+				continue
+			}
+			right := [2]int32{total[0] - left[0], total[1] - left[1]}
+			w := (float64(ln)*refGini(left) + float64(rn)*refGini(right)) / float64(n)
+			if gain := parentGini - w; gain > bestGain {
+				bestGain = gain
+				feature, bin, ok = f, uint8(b), true
+			}
+		}
+	}
+	return feature, bin, bestGain, ok
+}
+
+func refGini(c [2]int32) float64 {
+	n := float64(c[0] + c[1])
+	if n == 0 {
+		return 0
+	}
+	p := float64(c[1]) / n
+	return 2 * p * (1 - p)
+}
+
+// sameTree reports the first difference between two trees' nodes and
+// importances, compared bit for bit.
+func sameTree(a, b *Tree) string {
+	if len(a.nodes) != len(b.nodes) {
+		return fmt.Sprintf("%d nodes vs %d", len(a.nodes), len(b.nodes))
+	}
+	for i := range a.nodes {
+		x, y := a.nodes[i], b.nodes[i]
+		if x.feature != y.feature || x.bin != y.bin || x.left != y.left || x.right != y.right ||
+			x.leaf != y.leaf || math.Float32bits(x.prob) != math.Float32bits(y.prob) {
+			return fmt.Sprintf("node %d: %+v vs %+v", i, x, y)
+		}
+	}
+	for j := range a.importance {
+		if math.Float64bits(a.importance[j]) != math.Float64bits(b.importance[j]) {
+			return fmt.Sprintf("importance[%d]: %v vs %v", j, a.importance[j], b.importance[j])
+		}
+	}
+	return ""
+}
+
+// diffMatrix builds a random column-major matrix mixing the column shapes
+// that stress the split search: continuous, heavily tied (few distinct
+// values), single-valued, all-NaN, and partly NaN columns.
+func diffMatrix(rng *rand.Rand, n, d int) [][]float64 {
+	cols := make([][]float64, d)
+	for j := range cols {
+		col := make([]float64, n)
+		kind := rng.Intn(5)
+		levels := 1 + rng.Intn(4)
+		for i := range col {
+			switch kind {
+			case 0:
+				col[i] = rng.NormFloat64()
+			case 1:
+				col[i] = float64(rng.Intn(levels))
+			case 2:
+				col[i] = 3
+			case 3:
+				col[i] = math.NaN()
+			default:
+				if rng.Intn(3) == 0 {
+					col[i] = math.NaN()
+				} else {
+					col[i] = rng.ExpFloat64()
+				}
+			}
+		}
+		cols[j] = col
+	}
+	return cols
+}
+
+func TestGrowMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(400)
+		d := 1 + rng.Intn(12)
+		cols := diffMatrix(rng, n, d)
+		labels := make([]bool, n)
+		rate := rng.Float64()
+		for i := range labels {
+			labels[i] = rng.Float64() < rate
+		}
+		bins := []int{2, 7, 64, MaxBins}[rng.Intn(4)]
+		binned := NewBinner(cols, bins).Bin(cols)
+
+		// Bootstrap draws; every third case draws from a handful of rows so
+		// the sample is dominated by duplicates.
+		idx := make([]int, n)
+		span := n
+		if seed%3 == 0 {
+			span = 1 + rng.Intn(8)
+		}
+		for i := range idx {
+			idx[i] = rng.Intn(span)
+		}
+		cfg := Config{MinLeaf: 1 + rng.Intn(4), MaxDepth: rng.Intn(6)}
+		fps := 0
+		if d > 1 && rng.Intn(2) == 0 {
+			fps = 1 + rng.Intn(d-1)
+		}
+		rseed := rng.Int63()
+
+		ref := cfg
+		ref.FeaturesPerSplit, ref.Rng = fps, rand.New(rand.NewSource(rseed))
+		want := refGrow(binned, labels, append([]int(nil), idx...), ref)
+		got := cfg
+		got.FeaturesPerSplit, got.Rng = fps, rand.New(rand.NewSource(rseed))
+		have := Grow(binned, labels, append([]int(nil), idx...), got)
+		if diff := sameTree(want, have); diff != "" {
+			t.Fatalf("seed %d (n=%d d=%d bins=%d %+v fps=%d): %s", seed, n, d, bins, cfg, fps, diff)
+		}
+		// The same RNG state afterwards: the optimised grower draws exactly
+		// the features the reference drew.
+		if fps > 0 && ref.Rng.Int63() != got.Rng.Int63() {
+			t.Fatalf("seed %d: RNG streams diverged", seed)
+		}
 	}
 }
