@@ -2,6 +2,7 @@ package core
 
 import (
 	"opprentice/internal/ml/forest"
+	"opprentice/internal/ml/tree"
 	"opprentice/internal/stats"
 )
 
@@ -78,6 +79,12 @@ func cThldCandidates(numCandidates int) []float64 {
 // the best average PC-Score across folds wins. cols are column-major
 // NaN-free features.
 func CrossValidateCThld(cols [][]float64, labels []bool, folds, numCandidates int, fcfg forest.Config, pref stats.Preference) float64 {
+	return crossValidateCThld(tree.Sort(cols), cols, labels, folds, numCandidates, fcfg, pref)
+}
+
+// crossValidateCThld is CrossValidateCThld over cols presorted as ps: each
+// fold's forest trains on the rows outside the fold, in place.
+func crossValidateCThld(ps *tree.Presort, cols [][]float64, labels []bool, folds, numCandidates int, fcfg forest.Config, pref stats.Preference) float64 {
 	n := len(labels)
 	if folds < 2 {
 		folds = 5
@@ -90,25 +97,11 @@ func CrossValidateCThld(cols [][]float64, labels []bool, folds, numCandidates in
 	for fold := 0; fold < folds; fold++ {
 		lo := fold * n / folds
 		hi := (fold + 1) * n / folds
-		trainCols := make([][]float64, len(cols))
-		trainLabels := make([]bool, 0, n-(hi-lo))
-		for j, col := range cols {
-			tc := make([]float64, 0, n-(hi-lo))
-			tc = append(tc, col[:lo]...)
-			tc = append(tc, col[hi:]...)
-			trainCols[j] = tc
-		}
-		trainLabels = append(trainLabels, labels[:lo]...)
-		trainLabels = append(trainLabels, labels[hi:]...)
-		if !bothClasses(trainLabels) {
+		if !bothClassesOutside(labels, lo, hi) {
 			continue
 		}
-		f := forest.Train(trainCols, trainLabels, fcfg)
-		testCols := make([][]float64, len(cols))
-		for j, col := range cols {
-			testCols[j] = col[lo:hi]
-		}
-		scores := f.ProbAll(testCols)
+		f := forest.TrainPresorted(ps, labels, lo, hi, fcfg)
+		scores := f.ProbAll(featsSlice(cols, lo, hi))
 		pts := stats.AtThresholds(scores, labels[lo:hi], candidates)
 		for i, pt := range pts {
 			sums[i] += stats.PCScore(pt.Recall, pt.Precision, pref)
@@ -121,6 +114,23 @@ func CrossValidateCThld(cols [][]float64, labels []bool, folds, numCandidates in
 		}
 	}
 	return best
+}
+
+// bothClassesOutside reports whether the labels outside [lo, hi) contain at
+// least one anomaly and one normal point.
+func bothClassesOutside(labels []bool, lo, hi int) bool {
+	pos := 0
+	for _, l := range labels {
+		if l {
+			pos++
+		}
+	}
+	for _, l := range labels[lo:hi] {
+		if l {
+			pos--
+		}
+	}
+	return pos > 0 && pos < len(labels)-(hi-lo)
 }
 
 // bothClasses reports whether labels contain at least one anomaly and one

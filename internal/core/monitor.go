@@ -5,6 +5,7 @@ import (
 
 	"opprentice/internal/detectors"
 	"opprentice/internal/ml/forest"
+	"opprentice/internal/ml/tree"
 	"opprentice/internal/stats"
 	"opprentice/internal/timeseries"
 )
@@ -121,11 +122,14 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 	if !bothClasses(labels) {
 		return nil, fmt.Errorf("core: history must contain labeled anomalies and normal data")
 	}
-	model := forest.Train(cols, labels, cfg.Forest)
+	// One argsort serves every forest of this cold train: the model, the
+	// cross-validation folds and the EVT held-out halves.
+	ps := tree.Sort(cols)
+	model := forest.TrainPresorted(ps, labels, 0, 0, cfg.Forest)
 
 	cthld := 0.5
 	if !cfg.SkipInitialCV {
-		cthld = CrossValidateCThld(cols, labels, cfg.Folds, 1000, cfg.Forest, cfg.Preference)
+		cthld = crossValidateCThld(ps, cols, labels, cfg.Folds, 1000, cfg.Forest, cfg.Preference)
 	}
 	pred := newPredictor(cfg.Predictor, cfg.EWMAAlpha, cfg.EVTQ, cfg.Preference)
 	pred.Seed(cthld)
@@ -135,7 +139,7 @@ func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []det
 		// In-sample scores would not do — a forest scores its own normal
 		// training points near 0, understating the served score distribution
 		// and biasing the tail (and so the threshold) far too low.
-		pred.Refit(heldOutScores(model, cols, labels, cfg.Forest), labels)
+		pred.Refit(heldOutScores(model, ps, cols, labels, cfg.Forest), labels)
 	}
 	m := &Monitor{
 		dets:    liveDets,
@@ -496,27 +500,25 @@ func (m *Monitor) RetrainSnapshotTyped(history *timeseries.Series, labels timese
 // heldOutScores scores the training window out-of-sample for the initial POT
 // fit: the window is cut in half and each half is scored by a forest trained
 // on the other half, approximating the score distribution a deployed model
-// produces on data it was not trained on. A half whose complement lacks both
-// label classes (untrainable) falls back to the in-sample model for those
-// rows, keeping the output aligned with labels.
-func heldOutScores(model *forest.Forest, cols [][]float64, labels timeseries.Labels, fcfg forest.Config) []float64 {
+// produces on data it was not trained on. ps is cols presorted. A half whose
+// complement lacks both label classes (untrainable) falls back to the
+// in-sample model for those rows, keeping the output aligned with labels.
+func heldOutScores(model *forest.Forest, ps *tree.Presort, cols [][]float64, labels timeseries.Labels, fcfg forest.Config) []float64 {
 	n := len(labels)
 	out := make([]float64, n)
-	score := func(lo, hi, clo, chi int) {
+	score := func(lo, hi int) {
 		if hi <= lo {
 			return
 		}
-		cl := []bool(labels[clo:chi])
-		if chi <= clo || !bothClasses(cl) {
-			copy(out[lo:hi], model.ProbAll(featsSlice(cols, lo, hi)))
-			return
+		f := model
+		if bothClassesOutside(labels, lo, hi) {
+			f = forest.TrainPresorted(ps, labels, lo, hi, fcfg)
 		}
-		f := forest.Train(featsSlice(cols, clo, chi), cl, fcfg)
 		copy(out[lo:hi], f.ProbAll(featsSlice(cols, lo, hi)))
 	}
 	mid := n / 2
-	score(0, mid, mid, n)
-	score(mid, n, 0, mid)
+	score(0, mid)
+	score(mid, n)
 	return out
 }
 

@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 )
 
@@ -40,8 +41,8 @@ type Tree struct {
 }
 
 // Grow trains a tree on the binned column-major features restricted to the
-// sample indices idx (which it reorders in place). labels[i] is the ground
-// truth of sample i.
+// sample indices idx, a bootstrap that may repeat rows; idx is not modified.
+// labels[i] is the ground truth of sample i.
 func Grow(binned [][]uint8, labels []bool, idx []int, cfg Config) *Tree {
 	if cfg.MinLeaf < 1 {
 		cfg.MinLeaf = 1
@@ -50,12 +51,29 @@ func Grow(binned [][]uint8, labels []bool, idx []int, cfg Config) *Tree {
 		panic("tree: FeaturesPerSplit > 0 requires Rng")
 	}
 	t := &Tree{importance: make([]float64, len(binned))}
-	g := grower{binned: binned, labels: labels, cfg: cfg, t: t, total: len(idx)}
+	g := grower{binned: binned, cfg: cfg, t: t, total: len(idx)}
 	g.featScratch = make([]int, len(binned))
 	for j := range g.featScratch {
 		g.featScratch[j] = j
 	}
-	g.grow(idx, 0)
+	// A bootstrap repeats about a third of its draws: grow on the distinct
+	// rows, each weighted by how often it was drawn. Every count the split
+	// search and the leaves use is the same sum either way.
+	counts := make([]int32, len(labels))
+	for _, i := range idx {
+		counts[i]++
+	}
+	samples := make([]sample, 0, len(idx))
+	for r, c := range counts {
+		if c > 0 {
+			s := sample{row: int32(r), w: c}
+			if labels[r] {
+				s.y = 1
+			}
+			samples = append(samples, s)
+		}
+	}
+	g.grow(samples, 0)
 	return t
 }
 
@@ -65,49 +83,54 @@ func (t *Tree) Importances() []float64 {
 	return append([]float64(nil), t.importance...)
 }
 
+// sample is one distinct training row with its bootstrap multiplicity w and
+// its label as a histogram index y (1 = anomaly).
+type sample struct {
+	row int32
+	w   int32
+	y   uint8
+}
+
 type grower struct {
 	binned      [][]uint8
-	labels      []bool
 	cfg         Config
 	t           *Tree
 	total       int
 	featScratch []int
-	hist        [MaxBins][2]int32
+	hist        [MaxBins][2]int32 // zero between bestSplit calls
 }
 
-// grow builds the subtree for samples idx at the given depth and returns its
-// node index.
-func (g *grower) grow(idx []int, depth int) int32 {
-	pos := 0
-	for _, i := range idx {
-		if g.labels[i] {
-			pos++
-		}
+// grow builds the subtree for samples (which it reorders in place) at the
+// given depth and returns its node index.
+func (g *grower) grow(samples []sample, depth int) int32 {
+	var n, pos int32
+	for _, s := range samples {
+		n += s.w
+		pos += s.w * int32(s.y)
 	}
-	n := len(idx)
 	prob := float32(pos) / float32(n)
 	me := int32(len(g.t.nodes))
 	g.t.nodes = append(g.t.nodes, node{leaf: true, prob: prob})
-	if pos == 0 || pos == n || n < 2*g.cfg.MinLeaf ||
+	if pos == 0 || pos == n || int(n) < 2*g.cfg.MinLeaf ||
 		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) {
 		return me
 	}
-	feature, bin, gain, ok := g.bestSplit(idx, pos)
+	feature, bin, gain, ok := g.bestSplit(samples, n, pos)
 	if !ok {
 		return me
 	}
-	// Partition idx in place: codes ≤ bin to the left.
+	// Partition samples in place: codes ≤ bin to the left.
 	codes := g.binned[feature]
-	lo, hi := 0, n
+	lo, hi := 0, len(samples)
 	for lo < hi {
-		if codes[idx[lo]] <= bin {
+		if codes[samples[lo].row] <= bin {
 			lo++
 		} else {
 			hi--
-			idx[lo], idx[hi] = idx[hi], idx[lo]
+			samples[lo], samples[hi] = samples[hi], samples[lo]
 		}
 	}
-	if lo == 0 || lo == n {
+	if lo == 0 || lo == len(samples) {
 		return me // degenerate split; keep the leaf
 	}
 	g.t.nodes[me].leaf = false
@@ -116,18 +139,24 @@ func (g *grower) grow(idx []int, depth int) int32 {
 	if g.total > 0 {
 		g.t.importance[feature] += gain * float64(n) / float64(g.total)
 	}
-	left := g.grow(idx[:lo], depth+1)
-	right := g.grow(idx[lo:], depth+1)
+	left := g.grow(samples[:lo], depth+1)
+	right := g.grow(samples[lo:], depth+1)
 	g.t.nodes[me].left = left
 	g.t.nodes[me].right = right
 	return me
 }
 
 // bestSplit searches the (possibly subsampled) features for the split with
-// the lowest weighted gini impurity, returning the impurity decrease.
-func (g *grower) bestSplit(idx []int, pos int) (feature int, bin uint8, bestGain float64, ok bool) {
-	n := len(idx)
-	total := [2]int32{int32(n - pos), int32(pos)}
+// the lowest weighted gini impurity, returning the impurity decrease. n and
+// pos are the samples' total and anomalous weights.
+//
+// Only bins the samples occupy are visited, in ascending order. An empty bin
+// would leave the left counts, and so the gain, as they were at the last
+// occupied bin; under the strict gain > bestGain rule it could never win, so
+// skipping it finds the very split a scan of every boundary finds.
+func (g *grower) bestSplit(samples []sample, n, pos int32) (feature int, bin uint8, bestGain float64, ok bool) {
+	total := [2]int32{n - pos, pos}
+	minLeaf := int32(g.cfg.MinLeaf)
 
 	feats := g.featScratch
 	k := len(feats)
@@ -145,35 +174,31 @@ func (g *grower) bestSplit(idx []int, pos int) (feature int, bin uint8, bestGain
 	ok = false
 	for _, f := range feats[:k] {
 		codes := g.binned[f]
-		maxBin := uint8(0)
-		for b := range g.hist {
-			g.hist[b][0], g.hist[b][1] = 0, 0
-		}
-		for _, i := range idx {
-			c := codes[i]
-			if g.labels[i] {
-				g.hist[c][1]++
-			} else {
-				g.hist[c][0]++
-			}
-			if c > maxBin {
-				maxBin = c
-			}
+		var occupied [MaxBins / 64]uint64
+		for _, s := range samples {
+			c := codes[s.row]
+			g.hist[c][s.y] += s.w
+			occupied[c/64] |= 1 << (c % 64)
 		}
 		var left [2]int32
-		for b := 0; b < int(maxBin); b++ {
-			left[0] += g.hist[b][0]
-			left[1] += g.hist[b][1]
-			ln := left[0] + left[1]
-			rn := int32(n) - ln
-			if ln < int32(g.cfg.MinLeaf) || rn < int32(g.cfg.MinLeaf) {
-				continue
-			}
-			right := [2]int32{total[0] - left[0], total[1] - left[1]}
-			w := (float64(ln)*gini(left) + float64(rn)*gini(right)) / float64(n)
-			if gain := parentGini - w; gain > bestGain {
-				bestGain = gain
-				feature, bin, ok = f, uint8(b), true
+		for word, set := range occupied {
+			for ; set != 0; set &= set - 1 {
+				b := word*64 + bits.TrailingZeros64(set)
+				h := &g.hist[b]
+				left[0] += h[0]
+				left[1] += h[1]
+				*h = [2]int32{}
+				ln := left[0] + left[1]
+				rn := n - ln
+				if ln < minLeaf || rn < minLeaf {
+					continue // includes the last occupied bin, where rn = 0
+				}
+				right := [2]int32{total[0] - left[0], total[1] - left[1]}
+				w := (float64(ln)*gini(left) + float64(rn)*gini(right)) / float64(n)
+				if gain := parentGini - w; gain > bestGain {
+					bestGain = gain
+					feature, bin, ok = f, uint8(b), true
+				}
 			}
 		}
 	}
