@@ -65,7 +65,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Run the retrain + flattened-forest benchmarks and record them as JSON
-# (BENCH_retrain.json), then the warm-vs-cold restart benchmark
+# (BENCH_retrain.json) — with a cold NewMonitor and one weekly
+# RetrainSnapshotTyped at the engine's default size as reported, ungated
+# entries — then the warm-vs-cold restart benchmark
 # (BENCH_restore.json), then the segmented-WAL ingest benchmark
 # (BENCH_ingest.json), then the open-loop serving harness
 # (BENCH_serve.json — cmd/loadgen self-hosts an in-process opprenticed and
@@ -74,6 +76,8 @@ bench:
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkRetrainColdVsIncremental|BenchmarkForestProbFlat$$' \
 		-benchmem -benchtime 20x ./internal/core/ ./internal/ml/forest/ | tee bench_retrain.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkNewMonitorCold$$|BenchmarkRetrainWeekly$$' \
+		-benchmem -benchtime 3x ./internal/core/ | tee -a bench_retrain.txt
 	$(GO) run ./cmd/benchjson -in bench_retrain.txt -out BENCH_retrain.json
 	$(GO) test -run '^$$' -bench 'BenchmarkRestoreWarmVsCold$$' \
 		-benchtime 2x ./internal/engine/ | tee bench_restore.txt
@@ -117,6 +121,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseManifest -fuzztime=$(FUZZTIME) ./internal/registry/
 	$(GO) test -fuzz=FuzzHandlePoints -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=$(FUZZTIME) ./internal/tsdb/
+	$(GO) test -fuzz=FuzzForestLoad -fuzztime=$(FUZZTIME) ./internal/ml/forest/
 
 # Static analysis beyond vet. Both tools are optional: the targets no-op with
 # a notice when the binary is not installed, so `make all` works in minimal

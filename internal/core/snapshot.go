@@ -155,6 +155,9 @@ func LoadMonitor(r io.Reader, recent *timeseries.Series, dets []detectors.Detect
 	if err != nil {
 		return nil, fmt.Errorf("core: %v (%w)", err, ErrSnapshotVersion)
 	}
+	if model.NumFeatures() != len(dets) {
+		return nil, fmt.Errorf("core: snapshot forest has %d features for %d detectors (%w)", model.NumFeatures(), len(dets), ErrSnapshotVersion)
+	}
 	// Re-warm the detectors by replaying the recent history. A detector
 	// that panics while re-warming is sandboxed (marked dead) like in
 	// Monitor.Step, instead of failing the whole restore.
@@ -237,6 +240,9 @@ func (m *Monitor) RestoreTypeModel(r io.Reader) error {
 	tm, err := forest.LoadMulti(bytes.NewReader(dto.Model))
 	if err != nil {
 		return fmt.Errorf("core: %v (%w)", err, ErrSnapshotVersion)
+	}
+	if tm.NumFeatures() != len(m.dets) {
+		return fmt.Errorf("core: type snapshot has %d features for %d detectors (%w)", tm.NumFeatures(), len(m.dets), ErrSnapshotVersion)
 	}
 	m.typeModel = tm
 	return nil

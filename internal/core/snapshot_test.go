@@ -115,6 +115,30 @@ func TestLoadMonitorVersionSkew(t *testing.T) {
 	}
 }
 
+// TestLoadMonitorRejectsFeatureCountMismatch: a snapshot whose fingerprint
+// matches but whose forest codes a different number of features than there
+// are detectors fails at load, not with a panic on the first point.
+func TestLoadMonitorRejectsFeatureCountMismatch(t *testing.T) {
+	snap, d := trainedSnapshot(t, 12)
+	var dto snapshotDTO
+	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&dto); err != nil {
+		t.Fatal(err)
+	}
+	narrow := forest.Train([][]float64{{0, 1, 2, 3}}, []bool{false, false, true, true}, forest.Config{Trees: 12, Seed: 1})
+	var fbuf bytes.Buffer
+	if err := narrow.Save(&fbuf); err != nil {
+		t.Fatal(err)
+	}
+	dto.Forest = fbuf.Bytes()
+	var bad bytes.Buffer
+	if err := gob.NewEncoder(&bad).Encode(dto); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadMonitor(&bad, d.Series, smallRegistry(t), LoadConfig{Trees: 12}); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("feature-count mismatch: err = %v, want ErrSnapshotVersion", err)
+	}
+}
+
 // TestLoadMonitorFingerprintMismatch is the satellite regression test for
 // the registry half of the latent snapshot bug: before the fingerprint,
 // LoadMonitor accepted a snapshot trained under a different detector

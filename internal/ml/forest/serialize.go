@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"opprentice/internal/ml/tree"
 )
@@ -60,6 +61,16 @@ func Load(r io.Reader) (*Forest, error) {
 	}
 	if err := f.binner.UnmarshalBinary(dto.Binner); err != nil {
 		return nil, err
+	}
+	// Every split must name a feature the binner codes (and that the flat
+	// array's uint16 feature field holds).
+	d := f.binner.NumFeatures()
+	for ti, t := range f.trees {
+		for i := 0; i < t.NumNodes(); i++ {
+			if nd := t.Node(i); !nd.Leaf && (nd.Feature >= d || nd.Feature > math.MaxUint16) {
+				return nil, fmt.Errorf("forest: tree %d node %d splits on feature %d of %d", ti, i, nd.Feature, d)
+			}
+		}
 	}
 	// The flat inference array is derived state: rebuild rather than ship it.
 	f.buildFlat()

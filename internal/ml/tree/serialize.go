@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // Wire DTOs: gob needs exported fields, while the in-memory representations
@@ -37,10 +38,21 @@ func (t *Tree) UnmarshalBinary(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dto); err != nil {
 		return fmt.Errorf("tree: decode: %w", err)
 	}
+	if len(dto) == 0 {
+		return fmt.Errorf("tree: no nodes")
+	}
 	t.nodes = make([]node, len(dto))
 	for i, n := range dto {
-		if !n.Leaf && (n.Left < 0 || int(n.Left) >= len(dto) || n.Right < 0 || int(n.Right) >= len(dto)) {
-			return fmt.Errorf("tree: corrupt node %d: children (%d, %d) out of %d", i, n.Left, n.Right, len(dto))
+		// Children strictly after their parent (as Grow lays them out) keep
+		// every root-to-leaf walk finite.
+		if !n.Leaf && (int(n.Left) <= i || int(n.Left) >= len(dto) || int(n.Right) <= i || int(n.Right) >= len(dto)) {
+			return fmt.Errorf("tree: corrupt node %d: children (%d, %d) must lie in (%d, %d)", i, n.Left, n.Right, i, len(dto))
+		}
+		if !n.Leaf && n.Feature < 0 {
+			return fmt.Errorf("tree: corrupt node %d: feature %d", i, n.Feature)
+		}
+		if n.Leaf && !(n.Prob >= 0 && n.Prob <= 1) {
+			return fmt.Errorf("tree: corrupt leaf %d: probability %v", i, n.Prob)
 		}
 		t.nodes[i] = node{feature: n.Feature, bin: n.Bin, left: n.Left, right: n.Right, prob: n.Prob, leaf: n.Leaf}
 	}
@@ -60,6 +72,18 @@ func (b *Binner) MarshalBinary() ([]byte, error) {
 func (b *Binner) UnmarshalBinary(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&b.edges); err != nil {
 		return fmt.Errorf("tree: decode binner: %w", err)
+	}
+	// Codes are uint8 counts of edges below a value, found by binary
+	// search: at most MaxBins-1 strictly ascending, non-NaN edges.
+	for j, e := range b.edges {
+		if len(e) > MaxBins-1 {
+			return fmt.Errorf("tree: corrupt binner: feature %d has %d edges, max %d", j, len(e), MaxBins-1)
+		}
+		for k, v := range e {
+			if math.IsNaN(v) || (k > 0 && !(v > e[k-1])) {
+				return fmt.Errorf("tree: corrupt binner: feature %d edges not strictly ascending at %d", j, k)
+			}
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -79,5 +80,57 @@ func TestBinnerMarshalRoundTrip(t *testing.T) {
 	}
 	if err := back.UnmarshalBinary([]byte("junk")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+func TestTreeUnmarshalRejectsCorruptNodes(t *testing.T) {
+	cases := map[string][]node{
+		"empty":            nil,
+		"self loop":        {{feature: 0, left: 0, right: 1}, {leaf: true}},
+		"back to ancestor": {{feature: 0, left: 1, right: 2}, {feature: 0, left: 0, right: 2}, {leaf: true}},
+		"negative feature": {{feature: -1, left: 1, right: 2}, {leaf: true}, {leaf: true}},
+		"leaf prob > 1":    {{leaf: true, prob: 1.5}},
+		"leaf prob NaN":    {{leaf: true, prob: float32(math.NaN())}},
+	}
+	for name, nodes := range cases {
+		raw, err := (&Tree{nodes: nodes}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Tree
+		if err := back.UnmarshalBinary(raw); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+func TestBinnerUnmarshalRejectsCorruptEdges(t *testing.T) {
+	tooMany := make([]float64, MaxBins)
+	for i := range tooMany {
+		tooMany[i] = float64(i)
+	}
+	cases := map[string][][]float64{
+		"too many edges": {tooMany},
+		"unsorted":       {{1, 3, 2}},
+		"repeated":       {{1, 1}},
+		"NaN":            {{0, math.NaN()}},
+	}
+	for name, edges := range cases {
+		raw, err := (&Binner{edges: edges}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Binner
+		if err := back.UnmarshalBinary(raw); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	raw, err := (&Binner{edges: [][]float64{tooMany[:MaxBins-1], {math.Inf(-1), 0, math.Inf(1)}, nil}}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Binner
+	if err := back.UnmarshalBinary(raw); err != nil {
+		t.Errorf("valid edges rejected: %v", err)
 	}
 }
