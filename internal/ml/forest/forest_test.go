@@ -1,9 +1,11 @@
 package forest
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"opprentice/internal/ml/tree"
 	"opprentice/internal/stats"
 )
 
@@ -163,5 +165,32 @@ func TestImportancesIdentifyInformativeFeatures(t *testing.T) {
 	informative := imp[0] + imp[1]
 	if informative < 0.5 {
 		t.Errorf("informative features carry %v of importance, want majority", informative)
+	}
+}
+
+// TestTrainPresortedMatchesMaterialized: training in place on the rows
+// outside [lo, hi) saves the same bytes as training on those rows copied out.
+func TestTrainPresortedMatchesMaterialized(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	cols, labels := makeBlobs(300, 3, rng)
+	ps := tree.Sort(cols)
+	for _, r := range [][2]int{{0, 0}, {0, 60}, {120, 180}, {240, 300}, {150, 150}} {
+		lo, hi := r[0], r[1]
+		fold := make([][]float64, len(cols))
+		for j, col := range cols {
+			fold[j] = append(append([]float64(nil), col[:lo]...), col[hi:]...)
+		}
+		foldLabels := append(append([]bool(nil), labels[:lo]...), labels[hi:]...)
+		cfg := Config{Trees: 8, Seed: 5, MinLeaf: 2}
+		var want, got bytes.Buffer
+		if err := Train(fold, foldLabels, cfg).Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := TrainPresorted(ps, labels, lo, hi, cfg).Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Errorf("held out [%d, %d): in-place forest differs from the materialized one", lo, hi)
+		}
 	}
 }
