@@ -42,11 +42,11 @@ func benchSeries(b *testing.B, weeks int) *timeseries.Series {
 }
 
 // benchRegistry returns a fresh full paper registry for hourly data.
-func benchRegistry(b *testing.B) []detectors.Detector {
-	b.Helper()
+func benchRegistry(tb testing.TB) []detectors.Detector {
+	tb.Helper()
 	ds, err := detectors.Registry(time.Hour)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ds
 }
