@@ -109,3 +109,73 @@ func TestTrainingGolden(t *testing.T) {
 		t.Errorf("type head sha256 %s, want %s", got, goldenEVTTyped.types)
 	}
 }
+
+// goldenRetrain pins one weekly retrain on the golden fixture: a monitor
+// trained on the first 13 weeks of seed 1, then RetrainSnapshotTyped onto
+// the 14th, once with a nil cache (cold extraction) and once through the
+// FeatureCache the cold train warmed. The EVT row trains with typed labels,
+// so it also pins the retrained type head. Recorded before the retrain
+// entry points were folded into one fit; that refactor must leave every
+// row unchanged.
+var goldenRetrain = []struct {
+	kind    PredictorKind
+	cached  bool
+	monitor string // sha256 of the retrained monitor's SaveModel
+	cthld   uint64 // math.Float64bits of its CThld
+	types   string // sha256 of its SaveTypeModel ("" when untyped)
+}{
+	{PredictEWMA, false, "66e6c263cf1548e698da4dde89a8319eb9e4cffa5f489b5b8289e844248bb9e5", 0x3fdcd013a92a3056, ""},
+	{PredictEWMA, true, "66e6c263cf1548e698da4dde89a8319eb9e4cffa5f489b5b8289e844248bb9e5", 0x3fdcd013a92a3056, ""},
+	{PredictEVT, false, "9e781b781777b5370916aee180572fa0453ef481e961313e7c42d0330b2c3cbf", 0x3fe0535162e28f3d, "e7ad4c419de38bfb44550b9a219c59d0a2c3ea8ca3e272e4f8cd97adbaa34404"},
+	{PredictEVT, true, "9e781b781777b5370916aee180572fa0453ef481e961313e7c42d0330b2c3cbf", 0x3fe0535162e28f3d, "e7ad4c419de38bfb44550b9a219c59d0a2c3ea8ca3e272e4f8cd97adbaa34404"},
+}
+
+func TestRetrainGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains paper-size forests")
+	}
+	p := kpigen.PV(kpigen.Small)
+	p.Interval = time.Hour
+	p.Weeks = 14
+	d := kpigen.Generate(p, goldenTrain[0].seed)
+	types := kpigen.TypedLabels(d)
+	head := d.Series.Len() - 168
+	for _, g := range goldenRetrain {
+		cfg := goldenDefaults
+		cfg.Predictor = g.kind
+		cfg.Cache = NewFeatureCache(nil)
+		if g.kind == PredictEVT {
+			cfg.SkipInitialCV = true
+			cfg.TypeLabels = types[:head]
+		}
+		mon, err := NewMonitor(d.Series.Slice(0, head), d.Labels[:head].Clone(), benchRegistry(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cache *FeatureCache
+		if g.cached {
+			cache = cfg.Cache
+		}
+		var retypes []uint8
+		if g.kind == PredictEVT {
+			retypes = types
+		}
+		next, err := mon.RetrainSnapshotTyped(d.Series, d.Labels.Clone(), retypes, benchRegistry(t), cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha(t, next.SaveModel); got != g.monitor {
+			t.Errorf("%v cached=%v: monitor sha256 %s, want %s", g.kind, g.cached, got, g.monitor)
+		}
+		if got := math.Float64bits(next.CThld()); got != g.cthld {
+			t.Errorf("%v cached=%v: cThld %v (bits %#x), want bits %#x", g.kind, g.cached, next.CThld(), got, g.cthld)
+		}
+		got := ""
+		if next.HasTypeModel() {
+			got = sha(t, next.SaveTypeModel)
+		}
+		if got != g.types {
+			t.Errorf("%v cached=%v: type head sha256 %q, want %q", g.kind, g.cached, got, g.types)
+		}
+	}
+}
