@@ -13,9 +13,9 @@ import (
 // Monitor is the online detection path of Fig. 3(b): incoming points flow
 // through the basic detectors (feature extraction) and the latest anomaly
 // classifier, and the cThld turns the vote fraction into an alarm. It is
-// built from labeled history with NewMonitor and then fed one point at a
-// time; Retrain folds in newly labeled data without disturbing the
-// detectors' streaming state.
+// built from labeled history with NewMonitor, fed points with Step or
+// StepBatch, and replaced at every weekly retrain by the monitor
+// RetrainSnapshotTyped builds from the full labeled history.
 type Monitor struct {
 	dets   []detectors.Detector
 	model  *forest.Forest
@@ -23,8 +23,6 @@ type Monitor struct {
 	pred   Predictor
 	fcfg   forest.Config
 	pref   stats.Preference
-	row    []float64
-	points int
 	filter *DurationFilter
 
 	// dynamic marks a per-point predictor (EVT): finalize feeds it every
@@ -88,8 +86,8 @@ type MonitorConfig struct {
 	OnDetectorPanic func(name string, recovered any)
 	// Cache, when set, makes training extraction incremental: the initial
 	// extraction seeds the cache (cold) and every later
-	// RetrainCached/RetrainSnapshotCached against the same cache extracts
-	// only the points appended since (see ExtractIncremental).
+	// RetrainSnapshotTyped against the same cache extracts only the points
+	// appended since (see ExtractIncremental).
 	Cache *FeatureCache
 }
 
@@ -99,86 +97,186 @@ type MonitorConfig struct {
 // detector instances end positioned after the last history point, so Step
 // continues the stream seamlessly.
 func NewMonitor(history *timeseries.Series, labels timeseries.Labels, dets []detectors.Detector, cfg MonitorConfig) (*Monitor, error) {
-	if len(labels) != history.Len() {
-		return nil, fmt.Errorf("core: %d labels for %d points", len(labels), history.Len())
-	}
-	if cfg.TypeLabels != nil && len(cfg.TypeLabels) != history.Len() {
-		return nil, fmt.Errorf("core: %d type labels for %d points", len(cfg.TypeLabels), history.Len())
-	}
 	if cfg.Preference == (stats.Preference{}) {
 		cfg.Preference = stats.Preference{Recall: 0.66, Precision: 0.66}
 	}
 	if cfg.Folds <= 0 {
 		cfg.Folds = 5
 	}
-	feats, liveDets, err := ExtractIncremental(cfg.Cache, history, dets, ExtractConfig{})
+	m := &Monitor{
+		pred:    newPredictor(cfg.Predictor, cfg.EWMAAlpha, cfg.EVTQ, cfg.Preference),
+		fcfg:    cfg.Forest,
+		pref:    cfg.Preference,
+		onPanic: cfg.OnDetectorPanic,
+	}
+	if cfg.MinDuration > 1 {
+		m.filter = &DurationFilter{MinPoints: cfg.MinDuration}
+	}
+	cols, ps, err := m.fit(history, labels, cfg.TypeLabels, dets, cfg.Cache)
 	if err != nil {
 		return nil, err
 	}
-	// ImputedFull avoids materializing a second matrix: without a cache the
-	// raw columns are imputed in place (this extraction is private to us);
-	// with one, the cache's incrementally maintained imputed view is used.
-	cols := feats.ImputedFull()
-	if !bothClasses(labels) {
-		return nil, fmt.Errorf("core: history must contain labeled anomalies and normal data")
-	}
-	// One argsort serves every forest of this cold train: the model, the
-	// cross-validation folds and the EVT held-out halves.
-	ps := tree.Sort(cols)
-	model := forest.TrainPresorted(ps, labels, 0, 0, cfg.Forest)
-
 	cthld := 0.5
 	if !cfg.SkipInitialCV {
 		cthld = crossValidateCThld(ps, cols, labels, cfg.Folds, 1000, cfg.Forest, cfg.Preference)
 	}
-	pred := newPredictor(cfg.Predictor, cfg.EWMAAlpha, cfg.EVTQ, cfg.Preference)
-	pred.Seed(cthld)
-	if pred.Kind() == PredictEVT {
+	m.pred.Seed(cthld)
+	if m.dynamic {
 		// Initial POT fit over held-out vote fractions: each half of the
 		// training window is scored by a forest trained on the other half.
 		// In-sample scores would not do — a forest scores its own normal
 		// training points near 0, understating the served score distribution
 		// and biasing the tail (and so the threshold) far too low.
-		pred.Refit(heldOutScores(model, ps, cols, labels, cfg.Forest), labels)
+		m.pred.Refit(heldOutScores(m.model, ps, cols, labels, cfg.Forest), labels)
 	}
-	m := &Monitor{
-		dets:    liveDets,
-		model:   model,
-		cthld:   pred.Predict(),
-		pred:    pred,
-		dynamic: pred.Kind() != PredictEWMA,
-		fcfg:    cfg.Forest,
-		pref:    cfg.Preference,
-		row:     make([]float64, len(dets)),
-		points:  history.Len(),
-		dead:    make([]bool, len(dets)),
-		onPanic: cfg.OnDetectorPanic,
-	}
-	if cfg.TypeLabels != nil {
-		m.typeModel = forest.TrainMulti(cols, cfg.TypeLabels, cfg.Forest)
-	}
-	if cfg.MinDuration > 1 {
-		m.filter = &DurationFilter{MinPoints: cfg.MinDuration}
-	}
-	// Configurations that panicked during training extraction are the same
-	// live instances Step would call: mark them degraded up front.
-	m.markDegraded(feats.Degraded)
+	m.cthld = m.pred.Predict()
 	return m, nil
 }
 
-// markDegraded flags the named configurations as dead and accounts for their
-// panics.
+// RetrainSnapshotTyped is the weekly retrain (§3.2): it builds the monitor
+// that replaces m from a snapshot of the full labeled history, without
+// mutating m. The returned monitor carries m's tuning forward — preference,
+// forest configuration, duration-filter configuration, panic callback and a
+// copy of the cThld predictor with the snapshot's trailing week folded in —
+// but has a freshly trained model and a fresh detector set fitted over the
+// snapshot and positioned after its last point. With a non-nil cache only
+// the points appended since the cache's last extraction are stepped (see
+// ExtractIncremental); a nil cache extracts cold, with the same result.
+//
+// types, when non-nil, holds one AnomalyClass code per history point and
+// trains a fresh anomaly-type head. A nil or untrainable types slice (no
+// typed anomalies yet) carries m's type head forward unchanged, so typing
+// never regresses across a retrain that gained no new typed windows.
+//
+// It is the training half of an asynchronous retrain: while it runs, the
+// live monitor keeps Stepping newly arriving points; the caller then
+// replays the points that arrived mid-train through the returned monitor
+// (to advance its detectors and duration filter to the stream head) and
+// atomically swaps it in. Step writes the cThld predictor, which this
+// method reads, so call it on a Frozen copy taken where Step is
+// serialized, not on a monitor another goroutine is stepping. Rounds
+// against the same cache must be serialized by the caller — the engine's
+// per-series train mutex already does.
+func (m *Monitor) RetrainSnapshotTyped(history *timeseries.Series, labels timeseries.Labels, types []uint8, dets []detectors.Detector, cache *FeatureCache) (*Monitor, error) {
+	ppw, err := history.PointsPerWeek()
+	if err != nil {
+		return nil, err
+	}
+	n := &Monitor{
+		pred:      m.pred.Clone(),
+		fcfg:      m.fcfg,
+		pref:      m.pref,
+		typeModel: m.typeModel,
+		onPanic:   m.onPanic,
+	}
+	if m.filter != nil {
+		n.filter = &DurationFilter{MinPoints: m.filter.MinPoints}
+	}
+	cols, _, err := n.fit(history, labels, types, dets, cache)
+	if err != nil {
+		return nil, err
+	}
+	// Threshold update over the trailing week. A dynamic (EVT) predictor
+	// re-fits its tail on the week scored by the OUTGOING model: that week
+	// arrived after the model's last training cut, so these are
+	// out-of-sample vote fractions, the distribution the monitor actually
+	// served (the incoming model's in-sample scores would sit near 0 on
+	// normal points and collapse the tail). EWMA observes the week's best
+	// cThld under the fresh model; anomaly-free weeks carry no cThld
+	// information and are skipped.
+	lo := max(history.Len()-ppw, 0)
+	week := featsSlice(cols, lo, history.Len())
+	if n.dynamic {
+		n.pred.Refit(m.model.ProbAll(week), labels[lo:])
+	} else if lo > 0 && bothClasses(labels[lo:]) {
+		best, _ := stats.BestByPCScore(stats.PRCurve(n.model.ProbAll(week), labels[lo:]), n.pref)
+		n.pred.Observe(best.Threshold)
+	}
+	n.cthld = n.pred.Predict()
+	return n, nil
+}
+
+// Frozen returns a copy of m that no later Step on m touches: it shares
+// m's detectors and its immutable model and configuration, and owns a copy
+// of the cThld predictor and threshold, the state Step keeps writing. Take
+// it where Step is serialized (the engine takes it under its series lock);
+// RetrainSnapshotTyped and SaveModel on the copy may then run off that lock
+// while m keeps stepping. The copy is read-only: Stepping it would advance
+// the detectors m shares. A nil monitor freezes to nil.
+func (m *Monitor) Frozen() *Monitor {
+	if m == nil {
+		return nil
+	}
+	c := *m
+	c.pred = m.pred.Clone()
+	return &c
+}
+
+// fit is the one training path behind NewMonitor and RetrainSnapshotTyped.
+// m arrives carrying its tuning — forest configuration, preference, cThld
+// predictor, duration filter, panic callback and any type head to carry
+// forward — and fit adds the trained half: it checks the inputs, extracts
+// (incrementally through cache when set), imputes and presorts once, trains
+// the verdict forest and, given typed labels, the type head on that one
+// presort, installs the fresh detector set and marks the configurations
+// that panicked during extraction degraded. The threshold is left to the
+// caller, which seeds it from the returned imputed matrix and presort.
+func (m *Monitor) fit(history *timeseries.Series, labels timeseries.Labels, types []uint8, dets []detectors.Detector, cache *FeatureCache) ([][]float64, *tree.Presort, error) {
+	if len(labels) != history.Len() {
+		return nil, nil, fmt.Errorf("core: %d labels for %d points", len(labels), history.Len())
+	}
+	if types != nil && len(types) != history.Len() {
+		return nil, nil, fmt.Errorf("core: %d type labels for %d points", len(types), history.Len())
+	}
+	if !bothClasses(labels) {
+		return nil, nil, fmt.Errorf("core: history must contain labeled anomalies and normal data")
+	}
+	feats, liveDets, err := ExtractIncremental(cache, history, dets, ExtractConfig{})
+	if err != nil {
+		return nil, nil, err
+	}
+	// ImputedFull avoids materializing a second matrix: without a cache the
+	// raw columns are imputed in place (this extraction is private to us);
+	// with one, the cache's incrementally maintained imputed view is used.
+	cols := feats.ImputedFull()
+	// One argsort serves every forest of this fit: the model, the type
+	// head, and the caller's cross-validation folds and EVT held-out halves.
+	ps := tree.Sort(cols)
+	m.dets = liveDets
+	m.dead = make([]bool, len(liveDets))
+	m.dynamic = m.pred.Kind() != PredictEWMA
+	m.model = forest.TrainPresorted(ps, labels, 0, 0, m.fcfg)
+	if types != nil {
+		if tm := forest.TrainMulti(ps, types, m.fcfg); tm != nil {
+			m.typeModel = tm
+		}
+	}
+	// Configurations that panicked during extraction are the same live
+	// instances Step would call: mark them degraded up front.
+	m.markDegraded(feats.Degraded)
+	return cols, ps, nil
+}
+
+// markDegraded degrades the named configurations that are still alive.
 func (m *Monitor) markDegraded(names []string) {
 	for _, name := range names {
 		for j, d := range m.dets {
 			if d.Name() == name && !m.dead[j] {
-				m.dead[j] = true
-				m.panics++
-				if m.onPanic != nil {
-					m.onPanic(name, nil)
-				}
+				m.degrade(j, nil)
 			}
 		}
+	}
+}
+
+// degrade sandboxes configuration j — it is marked dead, so its feature
+// reads 0 and it is never stepped again — and counts and reports the panic.
+// recovered is the panic value, or nil when the panic was observed
+// indirectly (a degraded extraction column, a failed re-warm).
+func (m *Monitor) degrade(j int, recovered any) {
+	m.dead[j] = true
+	m.panics++
+	if m.onPanic != nil {
+		m.onPanic(m.dets[j].Name(), recovered)
 	}
 }
 
@@ -201,30 +299,22 @@ type Verdict struct {
 	Class AnomalyClass
 }
 
-// Step consumes the next incoming point and classifies it online. A
-// detector that panics is sandboxed: its feature reads 0 ("no evidence of
-// anomaly") for this and all subsequent points, and the verdict is still
-// produced from the remaining configurations.
+// Step consumes the next incoming point and classifies it online; it is a
+// StepBatch of one. A detector that panics is sandboxed: its feature reads
+// 0 ("no evidence of anomaly") for this and all subsequent points, and the
+// verdict is still produced from the remaining configurations.
 func (m *Monitor) Step(v float64) Verdict {
-	for j, d := range m.dets {
-		if m.dead[j] {
-			m.row[j] = 0
-			continue
-		}
-		m.row[j] = m.stepDetector(j, d, v)
-	}
-	m.points++
-	return m.finalize(m.model.Prob(m.row), m.row)
+	var out [1]Verdict
+	return m.StepBatch([]float64{v}, out[:0])[0]
 }
 
 // StepBatch consumes a batch of incoming points and appends one verdict per
-// point to out, returning the extended slice. It is the batched form of
-// Step: detectors are stepped per point (with the same panic sandboxing and
-// mid-batch degradation semantics), but the forest runs once over the whole
-// batch via ProbRowsInto instead of once per point. The verdict sequence is
-// bit-identical to calling Step on each value in order — detector stepping
-// never depends on forest output, and the duration filter still advances
-// point by point.
+// point to out, returning the extended slice. Detectors are stepped point
+// by point (a configuration that panics mid-batch is degraded from that
+// point on), then the forest runs once over the whole batch via
+// ProbRowsInto. The verdict sequence does not depend on how the stream is
+// cut into batches — detector stepping never depends on forest output, and
+// the duration filter and a dynamic predictor still advance point by point.
 func (m *Monitor) StepBatch(values []float64, out []Verdict) []Verdict {
 	n := len(values)
 	if n == 0 {
@@ -244,7 +334,6 @@ func (m *Monitor) StepBatch(values []float64, out []Verdict) []Verdict {
 			}
 			row[j] = m.stepDetector(j, det, v)
 		}
-		m.points++
 	}
 	if cap(m.probBuf) < n {
 		m.probBuf = make([]float64, n)
@@ -286,16 +375,12 @@ func (m *Monitor) finalize(p float64, row []float64) Verdict {
 }
 
 // stepDetector runs one detector for one point inside a panic sandbox. On
-// panic the configuration is marked dead and contributes a 0 severity.
+// panic the configuration is degraded and contributes a 0 severity.
 func (m *Monitor) stepDetector(j int, d detectors.Detector, v float64) (sev float64) {
 	defer func() {
 		if r := recover(); r != nil {
-			m.dead[j] = true
-			m.panics++
+			m.degrade(j, r)
 			sev = 0
-			if m.onPanic != nil {
-				m.onPanic(d.Name(), r)
-			}
 		}
 	}()
 	s, ready := d.Step(v)
@@ -329,172 +414,6 @@ func (m *Monitor) DegradedDetectors() int {
 		}
 	}
 	return n
-}
-
-// Retrain replaces the classifier with one trained on the full labeled
-// history (incremental retraining, §3.2) and folds the period's best cThld
-// into the EWMA prediction. history must cover everything up to the present,
-// including the points already Stepped; detector streaming state is left
-// untouched. Extraction is cold; use RetrainCached with a FeatureCache to
-// make it O(new points).
-func (m *Monitor) Retrain(history *timeseries.Series, labels timeseries.Labels, dets []detectors.Detector) error {
-	return m.RetrainCached(history, labels, dets, nil)
-}
-
-// RetrainCached is Retrain with incremental feature extraction: with a
-// non-nil cache, only the points appended since the cache's last extraction
-// are run through the detectors (see ExtractIncremental); a nil cache
-// extracts cold.
-func (m *Monitor) RetrainCached(history *timeseries.Series, labels timeseries.Labels, dets []detectors.Detector, cache *FeatureCache) error {
-	if len(labels) != history.Len() {
-		return fmt.Errorf("core: %d labels for %d points", len(labels), history.Len())
-	}
-	if !bothClasses(labels) {
-		return fmt.Errorf("core: history must contain labeled anomalies and normal data")
-	}
-	// Extract with a fresh detector set so the live ones keep streaming.
-	feats, _, err := ExtractIncremental(cache, history, dets, ExtractConfig{})
-	if err != nil {
-		return err
-	}
-	// Account for configurations that panicked during this extraction; the
-	// fresh instances are discarded afterwards, so the live detectors keep
-	// streaming (they are sandboxed separately by Step).
-	for _, name := range feats.Degraded {
-		m.panics++
-		if m.onPanic != nil {
-			m.onPanic(name, nil)
-		}
-	}
-	cols := feats.ImputedFull()
-	ppw, err := history.PointsPerWeek()
-	if err != nil {
-		return err
-	}
-	// Threshold update: a dynamic (EVT) predictor re-fits its tail on the
-	// trailing week scored by the OUTGOING model — that week arrived after
-	// the model's last training cut, so these are out-of-sample vote
-	// fractions, the distribution the monitor actually served online. The
-	// incoming model's in-sample scores would sit near 0 on normal points
-	// and collapse the tail.
-	if m.dynamic {
-		lo := history.Len() - ppw
-		if lo < 0 {
-			lo = 0
-		}
-		m.pred.Refit(m.model.ProbAll(featsSlice(cols, lo, history.Len())), labels[lo:])
-	}
-	m.model = forest.Train(cols, labels, m.fcfg)
-	if lo := history.Len() - ppw; !m.dynamic && lo > 0 && bothClasses(labels[lo:]) {
-		// EWMA observes the week's best cThld under the fresh model, as
-		// before. Anomaly-free weeks carry no cThld information; skip them.
-		scores := m.model.ProbAll(featsSlice(cols, lo, history.Len()))
-		best, _ := stats.BestByPCScore(stats.PRCurve(scores, labels[lo:]), m.pref)
-		m.pred.Observe(best.Threshold)
-	}
-	m.cthld = m.pred.Predict()
-	return nil
-}
-
-// RetrainSnapshot builds a replacement monitor from a snapshot of the
-// labeled history without mutating m. The returned monitor carries m's
-// tuning forward — preference, forest configuration, the cThld predictor's
-// EWMA state (cloned, with the snapshot's most recent week observed into
-// it), duration-filter configuration and panic callback — but has a freshly
-// trained model and a fresh detector set fitted over the snapshot and
-// positioned after its last point.
-//
-// It is the training half of an asynchronous retrain: while it runs, the
-// live monitor keeps Stepping newly arriving points; the caller then replays
-// the points that arrived mid-train through the returned monitor (to advance
-// its detectors and duration filter to the stream head) and atomically swaps
-// it in. Concurrent Step on m is safe — RetrainSnapshot only reads fields
-// Step never writes — but concurrent Retrain/RetrainSnapshot calls on the
-// same monitor must be serialized by the caller.
-func (m *Monitor) RetrainSnapshot(history *timeseries.Series, labels timeseries.Labels, dets []detectors.Detector) (*Monitor, error) {
-	return m.RetrainSnapshotCached(history, labels, dets, nil)
-}
-
-// RetrainSnapshotCached is RetrainSnapshot with incremental feature
-// extraction: with a non-nil cache only the points appended since the cache's
-// last extraction are stepped, and the returned monitor's live detector set
-// is built from the cache's advanced checkpoints instead of replaying the
-// whole history (a nil cache extracts cold, exactly like RetrainSnapshot).
-// Rounds against the same cache must be serialized by the caller — the
-// engine's per-series train mutex already does.
-func (m *Monitor) RetrainSnapshotCached(history *timeseries.Series, labels timeseries.Labels, dets []detectors.Detector, cache *FeatureCache) (*Monitor, error) {
-	return m.RetrainSnapshotTyped(history, labels, nil, dets, cache)
-}
-
-// RetrainSnapshotTyped is RetrainSnapshotCached with anomaly-type labels:
-// types, when non-nil, holds one AnomalyClass code per history point and the
-// returned monitor carries a freshly trained multi-class type head. A nil or
-// untrainable types slice (no typed anomalies yet) carries m's existing type
-// head forward unchanged, so typing never regresses across a retrain that
-// gained no new typed windows.
-func (m *Monitor) RetrainSnapshotTyped(history *timeseries.Series, labels timeseries.Labels, types []uint8, dets []detectors.Detector, cache *FeatureCache) (*Monitor, error) {
-	if len(labels) != history.Len() {
-		return nil, fmt.Errorf("core: %d labels for %d points", len(labels), history.Len())
-	}
-	if types != nil && len(types) != history.Len() {
-		return nil, fmt.Errorf("core: %d type labels for %d points", len(types), history.Len())
-	}
-	if !bothClasses(labels) {
-		return nil, fmt.Errorf("core: history must contain labeled anomalies and normal data")
-	}
-	feats, liveDets, err := ExtractIncremental(cache, history, dets, ExtractConfig{})
-	if err != nil {
-		return nil, err
-	}
-	cols := feats.ImputedFull()
-	model := forest.Train(cols, labels, m.fcfg)
-
-	// Threshold update into a cloned predictor so the live monitor is
-	// untouched until the swap: the EVT clone re-fits its tail on the
-	// trailing week scored by the live (outgoing) model — out-of-sample
-	// vote fractions, the distribution served online (see RetrainCached) —
-	// while the EWMA clone observes the week's best cThld under the fresh
-	// model.
-	pred := m.pred.Clone()
-	ppw, err := history.PointsPerWeek()
-	if err != nil {
-		return nil, err
-	}
-	if m.dynamic {
-		lo := history.Len() - ppw
-		if lo < 0 {
-			lo = 0
-		}
-		pred.Refit(m.model.ProbAll(featsSlice(cols, lo, history.Len())), labels[lo:])
-	} else if lo := history.Len() - ppw; lo > 0 && bothClasses(labels[lo:]) {
-		scores := model.ProbAll(featsSlice(cols, lo, history.Len()))
-		best, _ := stats.BestByPCScore(stats.PRCurve(scores, labels[lo:]), m.pref)
-		pred.Observe(best.Threshold)
-	}
-	n := &Monitor{
-		dets:      liveDets,
-		model:     model,
-		cthld:     pred.Predict(),
-		pred:      pred,
-		dynamic:   m.dynamic,
-		typeModel: m.typeModel,
-		fcfg:      m.fcfg,
-		pref:      m.pref,
-		row:       make([]float64, len(liveDets)),
-		points:    history.Len(),
-		dead:      make([]bool, len(liveDets)),
-		onPanic:   m.onPanic,
-	}
-	if types != nil {
-		if tm := forest.TrainMulti(cols, types, m.fcfg); tm != nil {
-			n.typeModel = tm
-		}
-	}
-	if m.filter != nil {
-		n.filter = &DurationFilter{MinPoints: m.filter.MinPoints}
-	}
-	n.markDegraded(feats.Degraded)
-	return n, nil
 }
 
 // heldOutScores scores the training window out-of-sample for the initial POT

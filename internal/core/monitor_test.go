@@ -84,7 +84,7 @@ func TestMonitorRetrainUpdatesCThld(t *testing.T) {
 	p2 := p
 	p2.Weeks = 11
 	d2 := kpigen.Generate(p2, 25)
-	if err := mon.Retrain(d2.Series, d2.Labels, smallRegistry(t)); err != nil {
+	if mon, err = mon.RetrainSnapshotTyped(d2.Series, d2.Labels, nil, smallRegistry(t), nil); err != nil {
 		t.Fatal(err)
 	}
 	after := mon.CThld()
@@ -93,7 +93,7 @@ func TestMonitorRetrainUpdatesCThld(t *testing.T) {
 	}
 	_ = before // the threshold may legitimately stay put; bounds checked above
 
-	if err := mon.Retrain(d2.Series, d2.Labels[:5], smallRegistry(t)); err == nil {
+	if _, err := mon.RetrainSnapshotTyped(d2.Series, d2.Labels[:5], nil, smallRegistry(t), nil); err == nil {
 		t.Error("want error for label mismatch on retrain")
 	}
 }

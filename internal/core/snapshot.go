@@ -166,19 +166,13 @@ func LoadMonitor(r io.Reader, recent *timeseries.Series, dets []detectors.Detect
 		model:   model,
 		fcfg:    dto.ForestCfg,
 		pref:    dto.Preference,
-		row:     make([]float64, len(dets)),
-		points:  recent.Len(),
 		dead:    make([]bool, len(dets)),
 		onPanic: cfg.OnDetectorPanic,
 	}
 	fitN := recent.Len()
 	for j, d := range dets {
 		if !rewarm(d, recent.Values, fitN) {
-			m.dead[j] = true
-			m.panics++
-			if m.onPanic != nil {
-				m.onPanic(d.Name(), nil)
-			}
+			m.degrade(j, nil)
 		}
 	}
 	pred := newPredictor(PredictorKind(dto.PredKind), dto.EWMAAlpha, dto.EVTQ, dto.Preference)

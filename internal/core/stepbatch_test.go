@@ -109,3 +109,24 @@ func TestStepBatchSandboxesMidBatchPanic(t *testing.T) {
 		t.Fatalf("batched monitor degraded %d detectors, want 1", bat.DegradedDetectors())
 	}
 }
+
+// TestStepTrainedZeroAllocs pins the per-point hot path: once its batch
+// scratch is warm, a trained Monitor.Step — a StepBatch of one — allocates
+// nothing, with the EWMA threshold and with the EVT one that moves per point.
+func TestStepTrainedZeroAllocs(t *testing.T) {
+	for _, kind := range []PredictorKind{PredictEWMA, PredictEVT} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := MonitorConfig{Forest: forest.Config{Trees: 12, Seed: 3}, SkipInitialCV: true, Predictor: kind}
+			mon, _, future := twinMonitors(t, cfg, nil)
+			next := 0
+			step := func() {
+				mon.Step(future[next%len(future)])
+				next++
+			}
+			step()
+			if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+				t.Fatalf("trained %v Step allocates %.1f objects per point, want 0", kind, allocs)
+			}
+		})
+	}
+}

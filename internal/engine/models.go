@@ -75,9 +75,9 @@ func (e *Engine) publishWorker() {
 
 // publishNow publishes m's trained model if it is newer than the last
 // published artifact, reporting whether an artifact was written. It is safe
-// against concurrent ingest: the engine never mutates a live monitor's model
-// state in place (retraining swaps in a freshly built monitor), so
-// SaveModel on the grabbed pointer reads only immutable fields.
+// against concurrent ingest: it serializes a Frozen copy taken under m.mu,
+// so SaveModel never reads the threshold an EVT monitor's Step keeps
+// moving.
 func (e *Engine) publishNow(m *managed) (bool, error) {
 	if e.models == nil {
 		return false, nil
@@ -86,7 +86,7 @@ func (e *Engine) publishNow(m *managed) (bool, error) {
 	defer m.pubMu.Unlock()
 
 	m.mu.Lock()
-	mon := m.monitor
+	mon := m.monitor.Frozen()
 	trained := m.trained
 	points := m.pointsAtTrain
 	published := m.publishedAt
@@ -99,7 +99,7 @@ func (e *Engine) publishNow(m *managed) (bool, error) {
 	// training: a registry wedged on bad storage cannot pin the publish
 	// worker forever, and a panic in serialization is recovered and counted.
 	var g modelreg.Generation
-	err := e.supervise("model publish", m.name, func() error {
+	err := e.supervise(context.Background(), "model publish", m.name, func() error {
 		var buf bytes.Buffer
 		if err := mon.SaveModel(&buf); err != nil {
 			return err
@@ -120,7 +120,7 @@ func (e *Engine) publishNow(m *managed) (bool, error) {
 			TrainedAt:   trained,
 		}, payloads)
 		return err
-	})
+	}, nil)
 	if err != nil {
 		e.counters.modelPublishErrors.Add(1)
 		e.publishDone(m.name, 0, err)

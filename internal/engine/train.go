@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -39,14 +38,15 @@ func (e *Engine) Train(ctx context.Context, name string) (TrainResult, error) {
 // train runs one snapshot → fit → replay+swap round. The retrain-swap
 // protocol:
 //
-//  1. Under m.mu: clone the series and labels (cheap memcpy) and note the
-//     live monitor. Release m.mu — ingest continues against the live
-//     monitor throughout the expensive part.
+//  1. Under m.mu: clone the series and labels (cheap memcpy) and take a
+//     Frozen copy of the live monitor, whose cThld predictor Step keeps
+//     writing. Release m.mu — ingest continues against the live monitor
+//     throughout the expensive part.
 //  2. Off-lock: fit a replacement monitor, supervised by the training
 //     watchdog (see fitSupervised). First-ever training builds it with
 //     core.NewMonitor (cross-validated initial cThld); afterwards
-//     Monitor.RetrainSnapshot carries the EWMA cThld state forward without
-//     touching the live monitor.
+//     Monitor.RetrainSnapshotTyped on the frozen copy carries the cThld
+//     state forward without touching the live monitor.
 //  3. Under m.mu again: replay the points appended since the snapshot
 //     through the new monitor — their client-facing verdicts were already
 //     issued by the old monitor, so replay verdicts are discarded; the
@@ -79,7 +79,9 @@ func (e *Engine) train(ctx context.Context, m *managed) (res TrainResult, err er
 	if m.typed != nil {
 		typed = append([]uint8(nil), m.typed...)
 	}
-	cur := m.monitor
+	// The fit reads the live monitor's cThld predictor, which Step keeps
+	// writing: retrain from a copy taken here, under the lock.
+	cur := m.monitor.Frozen()
 	m.mu.Unlock()
 
 	// 2. Fit off-lock, supervised.
@@ -123,28 +125,21 @@ func (e *Engine) train(ctx context.Context, m *managed) (res TrainResult, err er
 	return res, nil
 }
 
-// fitSupervised runs the expensive fit under the training watchdog: the
-// fit executes on its own goroutine (panics recovered and counted, never
-// crashing the engine) while this one waits out the effective deadline —
-// the smaller of the engine's training deadline and ctx's. On a miss the
-// round is abandoned with an ErrStalled-wrapped error and the zombie fit
-// is detached: the series gets a fresh feature cache immediately (the next
-// round extracts cold), and the old cache is invalidated once the zombie
-// finishes so its budget is returned and its result can never be swapped
-// in. Caller holds m.trainMu, so m.featCache is stable here.
+// fitSupervised runs the expensive fit under the training watchdog (see
+// supervise). A fit that fails or panics returns an ErrRejected-wrapped
+// error. On a miss the zombie fit is detached and its feature cache handed
+// off: the series gets a fresh cache immediately (the next round extracts
+// cold), and the old one is invalidated once the zombie finishes, so its
+// budget is returned and its result can never be swapped in. Caller holds
+// m.trainMu, so m.featCache is stable here.
 func (e *Engine) fitSupervised(ctx context.Context, m *managed, snap *timeseries.Series,
 	labels timeseries.Labels, typed []uint8, cur *core.Monitor, dets []detectors.Detector) (*core.Monitor, error) {
 
-	deadline := time.Duration(e.trainDeadline.Load())
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); deadline <= 0 || rem < deadline {
-			deadline = rem
-		}
-	}
 	cache := m.featCache
-	fit := func() (*core.Monitor, error) {
+	var next *core.Monitor
+	fit := func() (err error) {
 		if cur == nil {
-			cfg := core.MonitorConfig{
+			next, err = core.NewMonitor(snap, labels, dets, core.MonitorConfig{
 				Preference:      m.pref,
 				Forest:          forest.Config{Trees: m.trees, Seed: 1},
 				Predictor:       m.predKind,
@@ -152,61 +147,26 @@ func (e *Engine) fitSupervised(ctx context.Context, m *managed, snap *timeseries
 				TypeLabels:      typed,
 				OnDetectorPanic: e.panicHook(m.name),
 				Cache:           cache,
-			}
-			return core.NewMonitor(snap, labels, dets, cfg)
+			})
+		} else {
+			next, err = cur.RetrainSnapshotTyped(snap, labels, typed, dets, cache)
 		}
-		return cur.RetrainSnapshotTyped(snap, labels, typed, dets, cache)
+		return err
 	}
-	if deadline <= 0 && ctx.Done() == nil {
-		// Watchdog disabled and nothing to cancel on: fit inline.
-		next, err := fit()
-		if err != nil {
-			return nil, rejected(err)
-		}
-		return next, nil
-	}
-
-	type fitResult struct {
-		mon *core.Monitor
-		err error
-	}
-	done := make(chan fitResult, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				e.counters.workerPanics.Add(1)
-				done <- fitResult{err: fmt.Errorf("training panicked: %v", r)}
-			}
-		}()
-		mon, err := fit()
-		done <- fitResult{mon, err}
-	}()
-	var timer <-chan time.Time
-	if deadline > 0 {
-		t := time.NewTimer(deadline)
-		defer t.Stop()
-		timer = t.C
-	}
-	select {
-	case r := <-done:
-		if r.err != nil {
-			return nil, rejected(r.err)
-		}
-		return r.mon, nil
-	case <-timer:
-	case <-ctx.Done():
-	}
-	e.counters.trainStalls.Add(1)
+	var abandoned func()
 	if cache != nil {
-		m.featCache = core.NewFeatureCache(e.cacheBudget)
-		go func() {
-			<-done
-			cache.Invalidate()
-		}()
-	} else {
-		go func() { <-done }()
+		abandoned = cache.Invalidate
 	}
-	return nil, stalledf("training round for %q exceeded its %v deadline", m.name, deadline)
+	switch err := e.supervise(ctx, "training round", m.name, fit, abandoned); {
+	case errors.Is(err, ErrStalled):
+		if cache != nil {
+			m.featCache = core.NewFeatureCache(e.cacheBudget)
+		}
+		return nil, err
+	case err != nil:
+		return nil, rejected(err)
+	}
+	return next, nil
 }
 
 // VerifyFeatureCache cross-checks the named series' incremental

@@ -190,33 +190,19 @@ func (f *Forest) Importances() []float64 {
 
 // Prob returns the anomaly probability of a single sample given as a dense
 // feature row: by default the mean of the trees' leaf probabilities, or the
-// fraction of anomaly-voting trees under Config.MajorityVote (§4.4.2).
-// It allocates nothing for rows up to 256 features (the per-point hot path
-// of online classification).
+// fraction of anomaly-voting trees under Config.MajorityVote (§4.4.2). It
+// is a one-row ProbRowsInto and allocates nothing for rows up to 256
+// features (the per-point hot path of online classification).
 func (f *Forest) Prob(row []float64) float64 {
-	if len(row) != f.binner.NumFeatures() {
-		panic(fmt.Sprintf("forest: row has %d features, want %d", len(row), f.binner.NumFeatures()))
-	}
-	// Stack-allocated codes buffer: probCodes does not retain its argument,
-	// so buf never escapes for the common d ≤ 256 case.
-	var buf [256]uint8
-	var codes []uint8
-	if len(row) <= len(buf) {
-		codes = buf[:len(row)]
-	} else {
-		codes = make([]uint8, len(row))
-	}
-	for j, v := range row {
-		codes[j] = f.binner.Code(j, v)
-	}
-	return f.probCodes(codes)
+	var out [1]float64
+	f.ProbRowsInto(row, len(row), out[:])
+	return out[0]
 }
 
 // ProbRowsInto classifies n = len(rows)/d samples packed row-major into
 // rows (sample s occupies rows[s*d : (s+1)*d]) and writes their anomaly
-// probabilities into out[:n]. It is the batched form of Prob — one call per
-// ingest batch instead of one per point — and is bit-identical to calling
-// Prob on each row in order. Zero allocations for d ≤ 256.
+// probabilities into out[:n] — one call per ingest batch instead of one per
+// point. Zero allocations for d ≤ 256.
 func (f *Forest) ProbRowsInto(rows []float64, d int, out []float64) {
 	if d != f.binner.NumFeatures() {
 		panic(fmt.Sprintf("forest: rows have %d features, want %d", d, f.binner.NumFeatures()))

@@ -30,16 +30,20 @@ const multiAbstain = 0.5
 // cfg.Seed + k·headSeedStride so no two heads share per-tree RNG streams.
 const headSeedStride = 7_777_777
 
-// TrainMulti trains a one-vs-rest multi-class head on column-major features
-// and per-row class codes (0 = none). One binary forest is trained per
-// non-zero class code that has at least one positive and one negative row;
-// codes absent from the labels get no head and can never be predicted. It
-// returns nil when no trainable class exists (all rows are class 0, or a
-// single class covers every row) — callers treat a nil head as "typing
-// unavailable".
-func TrainMulti(cols [][]float64, classes []uint8, cfg Config) *MultiClass {
-	if len(cols) == 0 || len(classes) != len(cols[0]) {
-		panic(fmt.Sprintf("forest: %d class labels for %d rows", len(classes), rowsOf(cols)))
+// TrainMulti trains a one-vs-rest multi-class head on presorted features
+// and per-row class codes (0 = none); ps is usually the presort the verdict
+// forest of the same training call was fitted on. One binary forest is
+// trained per non-zero class code that has at least one positive and one
+// negative row; codes absent from the labels get no head and can never be
+// predicted. It returns nil when no trainable class exists (all rows are
+// class 0, or a single class covers every row) — callers treat a nil head
+// as "typing unavailable".
+func TrainMulti(ps *tree.Presort, classes []uint8, cfg Config) *MultiClass {
+	if ps.NumFeatures() == 0 {
+		panic("forest: no features")
+	}
+	if len(classes) != ps.NumRows() {
+		panic(fmt.Sprintf("forest: %d class labels for %d rows", len(classes), ps.NumRows()))
 	}
 	present := map[uint8]int{}
 	for _, c := range classes {
@@ -58,8 +62,8 @@ func TrainMulti(cols [][]float64, classes []uint8, cfg Config) *MultiClass {
 	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
 	mc := &MultiClass{classes: codes, heads: make([]*Forest, len(codes))}
 	// Every head sees the same features: bin them once.
-	cfg = cfg.withDefaults(len(cols))
-	binner, binned := tree.Sort(checkShape(cols)).Bin(cfg.MaxBins, 0, 0)
+	cfg = cfg.withDefaults(ps.NumFeatures())
+	binner, binned := ps.Bin(cfg.MaxBins, 0, 0)
 	labels := make([]bool, len(classes))
 	for k, code := range codes {
 		for i, c := range classes {
@@ -70,14 +74,6 @@ func TrainMulti(cols [][]float64, classes []uint8, cfg Config) *MultiClass {
 		mc.heads[k] = grow(binner, binned, labels, 0, 0, hcfg)
 	}
 	return mc
-}
-
-// rowsOf reports the row count of a column-major matrix (0 when empty).
-func rowsOf(cols [][]float64) int {
-	if len(cols) == 0 {
-		return 0
-	}
-	return len(cols[0])
 }
 
 // PredictRow classifies one feature row: the class whose head votes the
