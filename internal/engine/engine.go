@@ -562,8 +562,13 @@ type SeriesConfig struct {
 }
 
 // Create registers a new series. It returns an ErrInvalid-wrapped error for
-// malformed parameters and an ErrExists-wrapped error on name collision.
+// a name timeseries.ValidName rejects or malformed parameters, and an
+// ErrExists-wrapped error on name collision. When the series' meta record
+// cannot be written, Create fails with nothing registered.
 func (e *Engine) Create(name string, cfg SeriesConfig) error {
+	if err := timeseries.ValidName(name); err != nil {
+		return &kindError{kind: ErrInvalid, cause: err}
+	}
 	interval := time.Duration(cfg.IntervalSeconds) * time.Second
 	if interval <= 0 || timeseries.Day%interval != 0 {
 		return invalidf("interval %v must divide a day", interval)
@@ -613,13 +618,18 @@ func (e *Engine) Create(name string, cfg SeriesConfig) error {
 		sh.series[name] = m
 	}
 	sh.mu.Unlock()
-	if exists {
+	// discard stops the workers of a candidate that never went live, so
+	// neither its notifier nor its WAL writer leaks.
+	discard := func() {
 		if m.pipeline != nil {
-			m.pipeline.Close() // don't leak the losing candidate's worker
+			m.pipeline.Close()
 		}
 		if m.walw != nil {
 			m.walw.shutdown(time.Second)
 		}
+	}
+	if exists {
+		discard()
 		return &kindError{kind: ErrExists, cause: fmt.Errorf("series %q already exists", name)}
 	}
 	if m.walw != nil {
@@ -639,6 +649,14 @@ func (e *Engine) Create(name string, cfg SeriesConfig) error {
 			Predictor:       uint8(predKind),
 			EVTQ:            cfg.EVTQ,
 		}); err != nil {
+			// Leave nothing behind: a failed Create must not register a
+			// series that Status finds and a retried Create collides with.
+			sh.mu.Lock()
+			if sh.series[name] == m {
+				delete(sh.series, name)
+			}
+			sh.mu.Unlock()
+			discard()
 			return err
 		}
 	}

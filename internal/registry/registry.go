@@ -49,6 +49,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"opprentice/internal/timeseries"
 )
 
 // Typed errors. Callers errors.Is against these to pick a fallback rung.
@@ -214,8 +216,8 @@ func (r *Registry) lockFor(series string) *sync.Mutex {
 
 // seriesDir validates the series name and returns its directory path.
 func (r *Registry) seriesDir(series string) (string, error) {
-	if series == "" || strings.ContainsAny(series, "/\\") || strings.Contains(series, "..") {
-		return "", fmt.Errorf("registry: invalid series name %q", series)
+	if err := timeseries.ValidName(series); err != nil {
+		return "", fmt.Errorf("registry: %w", err)
 	}
 	return filepath.Join(r.dir, series), nil
 }

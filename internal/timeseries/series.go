@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -29,6 +30,16 @@ type Series struct {
 	Interval time.Duration
 	Values   []float64
 	Missing  []bool
+}
+
+// ValidName is the one series-name rule: a name is non-empty and holds no
+// path separator and no "..", so it can name a file or directory under the
+// store's and the model registry's data directories without escaping them.
+func ValidName(name string) error {
+	if name == "" || strings.ContainsAny(name, "/\\") || strings.Contains(name, "..") {
+		return fmt.Errorf("invalid series name %q", name)
+	}
+	return nil
 }
 
 // New returns an empty series with the given name, origin and interval.

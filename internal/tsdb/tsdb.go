@@ -44,6 +44,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"opprentice/internal/timeseries"
 )
 
 // ErrCorrupt is wrapped by errors caused by a damaged log (checksum
@@ -278,23 +280,11 @@ func shardIndex(name string, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// validName rejects names that could escape the data directory or collide
-// with the store's own file layout.
-func validName(name string) error {
-	if name == "" || strings.ContainsAny(name, "/\\") || strings.Contains(name, "..") {
-		return fmt.Errorf("tsdb: invalid series name %q", name)
-	}
-	return nil
-}
-
 // CreateSeries durably registers a new series. The name must be unused; a
 // tombstoned name may be reused.
 func (s *Store) CreateSeries(meta Meta) error {
-	if meta.Name == "" {
-		return errors.New("tsdb: meta needs a name")
-	}
-	if err := validName(meta.Name); err != nil {
-		return err
+	if err := timeseries.ValidName(meta.Name); err != nil {
+		return fmt.Errorf("tsdb: %w", err)
 	}
 	if err := s.migrateLegacy(meta.Name); err != nil {
 		return err
@@ -307,8 +297,8 @@ func (s *Store) CreateSeries(meta Meta) error {
 // is done — cancellation abandons the wait, not the write, which may still
 // commit.
 func (s *Store) AppendPoints(ctx context.Context, name string, values []float64) error {
-	if err := validName(name); err != nil {
-		return err
+	if err := timeseries.ValidName(name); err != nil {
+		return fmt.Errorf("tsdb: %w", err)
 	}
 	if len(values) == 0 {
 		return nil
@@ -326,8 +316,8 @@ func (s *Store) AppendPoints(ctx context.Context, name string, values []float64)
 // AppendLabel durably records one label action over the half-open range
 // [start, end). Context semantics match AppendPoints.
 func (s *Store) AppendLabel(ctx context.Context, name string, start, end int, anomalous bool) error {
-	if err := validName(name); err != nil {
-		return err
+	if err := timeseries.ValidName(name); err != nil {
+		return fmt.Errorf("tsdb: %w", err)
 	}
 	if start < 0 || end <= start {
 		return fmt.Errorf("tsdb: invalid label range [%d, %d)", start, end)
@@ -343,8 +333,8 @@ func (s *Store) AppendLabel(ctx context.Context, name string, start, end int, an
 // AppendPoints. class uses the core.AnomalyClass wire codes; replay exposes
 // it via Loaded.Types.
 func (s *Store) AppendTypedLabel(ctx context.Context, name string, start, end int, anomalous bool, class uint8) error {
-	if err := validName(name); err != nil {
-		return err
+	if err := timeseries.ValidName(name); err != nil {
+		return fmt.Errorf("tsdb: %w", err)
 	}
 	if start < 0 || end <= start {
 		return fmt.Errorf("tsdb: invalid label range [%d, %d)", start, end)
@@ -377,8 +367,8 @@ func (s *Store) send(ctx context.Context, req *request) error {
 // Load replays one series and returns its state. Damaged frames (or a
 // semantically invalid record sequence) yield an error wrapping ErrCorrupt.
 func (s *Store) Load(name string) (*Loaded, error) {
-	if err := validName(name); err != nil {
-		return nil, err
+	if err := timeseries.ValidName(name); err != nil {
+		return nil, fmt.Errorf("tsdb: %w", err)
 	}
 	sh := s.shardFor(name)
 	sh.mu.Lock()
@@ -551,7 +541,7 @@ func (s *Store) List() ([]string, error) {
 		if !e.Type().IsRegular() {
 			continue
 		}
-		if name, ok := strings.CutSuffix(e.Name(), legacySuffix); ok && validName(name) == nil {
+		if name, ok := strings.CutSuffix(e.Name(), legacySuffix); ok && timeseries.ValidName(name) == nil {
 			seen[name] = true
 		}
 	}
@@ -570,8 +560,8 @@ func (s *Store) List() ([]string, error) {
 // is renamed aside to "<name>.wal.corrupt". The returned string names where
 // the evidence lives.
 func (s *Store) Quarantine(name string) (string, error) {
-	if err := validName(name); err != nil {
-		return "", err
+	if err := timeseries.ValidName(name); err != nil {
+		return "", fmt.Errorf("tsdb: %w", err)
 	}
 	sh := s.shardFor(name)
 	sh.mu.Lock()
@@ -589,8 +579,8 @@ func (s *Store) Quarantine(name string) (string, error) {
 // Remove deletes a series (tombstone for segment-resident series, file
 // removal for legacy logs). Removing an unknown series is a no-op.
 func (s *Store) Remove(name string) error {
-	if err := validName(name); err != nil {
-		return err
+	if err := timeseries.ValidName(name); err != nil {
+		return fmt.Errorf("tsdb: %w", err)
 	}
 	sh := s.shardFor(name)
 	sh.mu.Lock()
