@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"sync/atomic"
 
 	"opprentice/internal/alerting"
@@ -89,30 +90,42 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeCounter("opprenticed_notify_dropped_total", "Incident events dropped (queue full, max attempts, shutdown).", notify.Dropped)
 	fmt.Fprintf(w, "# HELP opprenticed_series_points Points stored per series.\n# TYPE opprenticed_series_points gauge\n")
 	for _, sn := range snaps {
-		fmt.Fprintf(w, "opprenticed_series_points{series=%q} %d\n", sn.Name, sn.Points)
+		fmt.Fprintf(w, "opprenticed_series_points{series=\"%s\"} %d\n", labelValue(sn.Name), sn.Points)
 	}
 	fmt.Fprintf(w, "# HELP opprenticed_series_labeled_windows Labeled anomalous windows per series.\n# TYPE opprenticed_series_labeled_windows gauge\n")
 	for _, sn := range snaps {
-		fmt.Fprintf(w, "opprenticed_series_labeled_windows{series=%q} %d\n", sn.Name, sn.LabeledWindows)
+		fmt.Fprintf(w, "opprenticed_series_labeled_windows{series=\"%s\"} %d\n", labelValue(sn.Name), sn.LabeledWindows)
 	}
 	fmt.Fprintf(w, "# HELP opprenticed_series_cthld Current classification threshold per trained series.\n# TYPE opprenticed_series_cthld gauge\n")
 	for _, sn := range snaps {
 		if sn.Trained {
-			fmt.Fprintf(w, "opprenticed_series_cthld{series=%q} %.4f\n", sn.Name, sn.CThld)
+			fmt.Fprintf(w, "opprenticed_series_cthld{series=\"%s\"} %.4f\n", labelValue(sn.Name), sn.CThld)
 		}
 	}
 	fmt.Fprintf(w, "# HELP opprenticed_series_degraded_detectors Detector configurations currently sandboxed (dead) per trained series.\n# TYPE opprenticed_series_degraded_detectors gauge\n")
 	for _, sn := range snaps {
 		if sn.Trained {
-			fmt.Fprintf(w, "opprenticed_series_degraded_detectors{series=%q} %d\n", sn.Name, sn.DegradedDetectors)
+			fmt.Fprintf(w, "opprenticed_series_degraded_detectors{series=\"%s\"} %d\n", labelValue(sn.Name), sn.DegradedDetectors)
 		}
 	}
 	fmt.Fprintf(w, "# HELP opprenticed_query_queue_depth Pending label queries per series.\n# TYPE opprenticed_query_queue_depth gauge\n")
 	for _, sn := range snaps {
-		fmt.Fprintf(w, "opprenticed_query_queue_depth{series=%q} %d\n", sn.Name, sn.PendingQueries)
+		fmt.Fprintf(w, "opprenticed_query_queue_depth{series=\"%s\"} %d\n", labelValue(sn.Name), sn.PendingQueries)
 	}
 	fmt.Fprintf(w, "# HELP opprenticed_drift_score PSI of the last completed drift comparison window per series.\n# TYPE opprenticed_drift_score gauge\n")
 	for _, sn := range snaps {
-		fmt.Fprintf(w, "opprenticed_drift_score{series=%q} %.4f\n", sn.Name, sn.DriftScore)
+		fmt.Fprintf(w, "opprenticed_drift_score{series=\"%s\"} %.4f\n", labelValue(sn.Name), sn.DriftScore)
 	}
+}
+
+// labelEscaper applies the text format's only label-value escapes.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// labelValue renders a label value for the Prometheus text format: a
+// backslash, double quote or newline is escaped as \\, \" or \n, and every
+// other character passes through verbatim (Go's %q would emit \t, \x.. and
+// \u.... escapes the format rejects, breaking the whole scrape). Invalid
+// UTF-8 becomes U+FFFD, since the format's values are UTF-8.
+func labelValue(v string) string {
+	return labelEscaper.Replace(strings.ToValidUTF8(v, "\uFFFD"))
 }
