@@ -120,6 +120,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/timeseries/
 	$(GO) test -fuzz=FuzzParseManifest -fuzztime=$(FUZZTIME) ./internal/registry/
 	$(GO) test -fuzz=FuzzHandlePoints -fuzztime=$(FUZZTIME) ./internal/service/
+	$(GO) test -fuzz=FuzzIngestStream -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=$(FUZZTIME) ./internal/tsdb/
 	$(GO) test -fuzz=FuzzForestLoad -fuzztime=$(FUZZTIME) ./internal/ml/forest/
 

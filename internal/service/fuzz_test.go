@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -78,6 +80,94 @@ func FuzzHandlePoints(f *testing.F) {
 			}
 		default:
 			t.Fatalf("undocumented status %d: %q", rec.Code, rec.Body)
+		}
+	})
+}
+
+// FuzzIngestStream throws arbitrary bodies at the binary bulk-ingest
+// endpoint. Under garbage the handler must never panic, must answer only
+// documented statuses with a JSON summary, and must keep batches whole: the
+// summary's appended count — on success and in the partial summary of a
+// failed stream alike — equals the points the series actually gained.
+func FuzzIngestStream(f *testing.F) {
+	s := NewServer(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	h := s.Handler()
+	series := []string{"pv", "sr"}
+	create, err := json.Marshal(CreateRequest{IntervalSeconds: 60, Start: testStart, Trees: 10})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range series {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/series/"+name, bytes.NewReader(create)))
+		if rec.Code != http.StatusCreated {
+			f.Fatalf("create %s: %d %s", name, rec.Code, rec.Body)
+		}
+	}
+	stored := func(t *testing.T) int {
+		t.Helper()
+		total := 0
+		for _, name := range series {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/series/"+name, nil))
+			var st Status
+			if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+				t.Fatalf("status %s: %d %s", name, rec.Code, rec.Body)
+			}
+			total += st.Points
+		}
+		return total
+	}
+
+	// Seeds are framed by StreamPoints' own encoder.
+	type batch struct {
+		name   string
+		values []float64
+	}
+	encode := func(batches ...batch) []byte {
+		var buf bytes.Buffer
+		st := &PointStream{bw: bufio.NewWriter(&buf), ids: make(map[string]uint64)}
+		for _, b := range batches {
+			if err := st.Send(b.name, b.values); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := st.bw.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Add(encode(batch{"pv", []float64{1, 2, 3}}))
+	f.Add(encode(batch{"pv", []float64{1}}, batch{"sr", []float64{0.5, 0.25}}, batch{"pv", []float64{4}}))
+	f.Add(encode(batch{"pv", []float64{1, 2}}, batch{"ghost", []float64{3}}, batch{"sr", []float64{4}}))
+	f.Add(encode(batch{"sr", []float64{math.NaN(), math.Inf(1), -0}}))
+	f.Add(encode(batch{"pv", nil}))
+	f.Add(encode())
+	f.Add(append(encode(batch{"pv", []float64{1}}), 0x05, ingestOpPoints, 0x01, 0x09))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		before := stored(t)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(raw)))
+		var res struct {
+			errorResponse
+			IngestSummary
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+			t.Fatalf("%d with unparseable body %q: %v", rec.Code, rec.Body, err)
+		}
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusUnprocessableEntity,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			if res.Error == "" {
+				t.Fatalf("%d without an error: %q", rec.Code, rec.Body)
+			}
+		default:
+			t.Fatalf("undocumented status %d: %q", rec.Code, rec.Body)
+		}
+		if after := stored(t); after-before != res.Appended {
+			t.Fatalf("status %d reports %d appended, but the series gained %d", rec.Code, res.Appended, after-before)
 		}
 	})
 }
