@@ -12,14 +12,14 @@
 // The typical lifecycle:
 //
 //	dets, _ := opprentice.Detectors(time.Minute)
-//	mon, _ := opprentice.NewMonitor(history, labels, dets, opprentice.MonitorConfig{})
+//	mon, err := opprentice.NewMonitor(history, labels, dets, opprentice.MonitorConfig{})
 //	for v := range incoming {
 //		if mon.Step(v).Anomalous {
 //			alert()
 //		}
 //	}
-//	// weekly: label the new data, then
-//	mon.Retrain(fullHistory, fullLabels, freshDets)
+//	// weekly: label the new data, then swap in the retrained monitor
+//	mon, err = mon.RetrainSnapshotTyped(fullHistory, fullLabels, nil, freshDets, nil)
 //
 // For offline evaluation and the paper's experiments, see Run, RunExperiment
 // and the cmd/evalbench tool.
