@@ -18,10 +18,11 @@ race:
 	$(GO) test -race ./...
 
 # Concurrency suite for the serving stack: the engine's ingest/retrain/swap
-# protocol and the HTTP adapter, under the race detector, twice (-count=2
-# also defeats test caching so the schedule varies between runs).
+# protocol, the tsdb shard appender that carries every durable write, and
+# the HTTP adapter, under the race detector, twice (-count=2 also defeats
+# test caching so the schedule varies between runs).
 engine-race:
-	$(GO) test -race -count=2 ./internal/engine/ ./internal/service/
+	$(GO) test -race -count=2 ./internal/engine/ ./internal/service/ ./internal/tsdb/
 
 # Fault-injection suite only (panicking detectors/notifiers, WAL corruption,
 # retry/shutdown behaviour) — every such test is named TestFault*.

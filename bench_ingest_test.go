@@ -18,6 +18,7 @@ package opprentice
 //	go test -bench=BenchmarkIngestWAL -benchtime 2s
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io/fs"
 	"path/filepath"
@@ -27,6 +28,21 @@ import (
 
 	"opprentice/internal/tsdb"
 )
+
+// legacyPointsLineSize returns the byte size of one points record in the
+// JSON-lines WAL the segment log replaced — 8-hex-digit checksum prefix,
+// space, JSON payload, newline. It is the reference encoder behind jsonB/pt
+// and benchjson's -min-wal-ratio gate, kept byte-identical to that format.
+func legacyPointsLineSize(values []float64) int {
+	payload, err := json.Marshal(struct {
+		Kind   string    `json:"kind"`
+		Values []float64 `json:"values,omitempty"`
+	}{Kind: "points", Values: values})
+	if err != nil {
+		return 0
+	}
+	return 8 + 1 + len(payload) + 1
+}
 
 // walSegmentBytes sums the on-disk size of every WAL segment under dir.
 func walSegmentBytes(b *testing.B, dir string) int64 {
@@ -131,7 +147,7 @@ func BenchmarkIngestWAL(b *testing.B) {
 		// value, so the timed loop only pays one atomic add for bookkeeping.
 		lineSize := make([]int64, len(vals))
 		for i, v := range vals {
-			lineSize[i] = int64(tsdb.LegacyPointsLineSize([]float64{v}))
+			lineSize[i] = int64(legacyPointsLineSize([]float64{v}))
 		}
 		// Creates are durable before CreateSeries returns, so the segment bytes
 		// on disk here are pure series-bootstrap overhead; subtracting them

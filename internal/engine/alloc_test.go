@@ -2,7 +2,7 @@ package engine
 
 // Allocation regression gates for the ingest hot path. The serving claim
 // rests on Append staying allocation-free per point: feature rows, verdict
-// buffers, WAL ops, and scoring scratch are all pooled or reused, so any
+// buffers and scoring scratch are all pooled or reused, so any
 // new per-point allocation is a regression that should fail go test, not
 // only show up in benchmarks.
 //

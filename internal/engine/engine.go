@@ -52,10 +52,14 @@ import (
 
 // Store is the persistence seam between the engine and the write-ahead log.
 // *tsdb.Store satisfies it; tests substitute failing or recording fakes.
+//
+// Every durable write goes through Submit, which must not block: the engine
+// calls it holding the series mutex. When Submit returns nil, done must run
+// exactly once, after the write is durable or failed, and the writes of one
+// series must complete in submission order. done never takes the series
+// mutex, so a fake may run it before Submit returns.
 type Store interface {
-	CreateSeries(meta tsdb.Meta) error
-	AppendPoints(ctx context.Context, name string, values []float64) error
-	AppendLabel(ctx context.Context, name string, start, end int, anomalous bool) error
+	Submit(w tsdb.Write, done func(error)) error
 	List() ([]string, error)
 	Load(name string) (*tsdb.Loaded, error)
 	Quarantine(name string) (string, error)
@@ -170,10 +174,10 @@ type Config struct {
 	// with an ErrOverloaded-wrapped error before any mutation. Negative
 	// disables admission control.
 	IngestInflight int
-	// WALDeadline bounds how long an Append or Label waits for its durable
-	// write (default 2s). A write that blows the budget flips the series
-	// into degraded mode: verdicts become threshold-only, WAL ops are
-	// buffered in the background writer, and the append reports
+	// WALDeadline bounds how long a Create, Append or Label waits for its
+	// durable write (default 2s). A write that blows the budget flips the
+	// series into degraded mode: verdicts become threshold-only, later
+	// writes are submitted without waiting, and the append reports
 	// Persisted=false. Negative disables the deadline (waits forever).
 	WALDeadline time.Duration
 	// TrainDeadline bounds one training/publish round (default 5m). A round
@@ -182,15 +186,10 @@ type Config struct {
 	// and retry. Negative disables the watchdog.
 	TrainDeadline time.Duration
 	// DegradedRecovery is the hysteresis window for leaving degraded mode
-	// (default 30s): a series recovers only after its WAL writer has been
-	// quiet — no slow or failed write — for this long and its queue has
-	// drained. Negative makes degraded mode sticky until restart.
+	// (default 30s): a series recovers only after none of its durable
+	// writes has blown the WAL deadline for this long and none is pending.
+	// Negative makes degraded mode sticky until restart.
 	DegradedRecovery time.Duration
-	// WALBufferPoints bounds the points buffered per series in the
-	// background WAL writer while degraded (default 65536). Beyond it,
-	// batches are dropped from the log (never from memory) and counted in
-	// Counters().WALLostPoints.
-	WALBufferPoints int
 	// TrainRetries is how many times an automatic retrain that stalled or
 	// failed is retried with exponential backoff before giving up for that
 	// trigger (default 3).
@@ -261,14 +260,13 @@ type Engine struct {
 	// DriftWindow default (one day of points) is resolved at attach time.
 	activeCfg active.Config
 
-	// Resilience knobs. The deadlines are atomic nanosecond values so tests
-	// and operators can retune them at runtime (Set* methods); zero means
-	// disabled after New's resolution.
+	// Resilience knobs; zero means disabled after New's resolution. The
+	// training deadline is an atomic nanosecond value so it can be retuned
+	// at runtime (SetTrainDeadline).
 	ingestInflight   int64 // per-shard admission budget in points; 0 = unlimited
-	walDeadline      atomic.Int64
+	walDeadline      time.Duration
+	degradedRecovery time.Duration
 	trainDeadline    atomic.Int64
-	degradedRecovery atomic.Int64
-	walBufferPoints  int
 	trainRetries     int
 	trainFailLimit   int
 
@@ -339,11 +337,15 @@ type managed struct {
 	// the cache carries its own mutex besides.
 	featCache *core.FeatureCache
 
-	// walw is the background WAL writer (nil without a store). Ops are
-	// enqueued under mu so log order matches append order; the healthy path
-	// waits for completion up to the WAL deadline and a blown deadline
-	// flips the series degraded.
-	walw *walWriter
+	// Durable-write accounting (guarded by walMu, which is never held
+	// across a store call): writes submitted under mu — so log order
+	// matches append order — whose completion has not run yet, the points
+	// they carry (bounded by walBufferPoints), and a channel closed when
+	// walPending next drops to zero (nil until walIdle asks for one).
+	walMu       sync.Mutex
+	walPending  int
+	walBuffered int
+	walDrained  chan struct{}
 
 	// Degraded-mode state (guarded by mu). While degraded the monitor is
 	// not stepped: verdicts come from the threshold-only scorer, appended
@@ -357,9 +359,9 @@ type managed struct {
 	scorer        degradeScorer
 	pending       []float64
 
-	// lastViolation is the unix-nano time of the last slow or failed WAL
-	// write, stamped by the writer goroutine; recovery hysteresis keys off
-	// it.
+	// lastViolation is the unix-nano time of the last durable write that
+	// blew the WAL deadline, stamped by the waiter or by the write's
+	// completion; recovery hysteresis keys off it.
 	lastViolation atomic.Int64
 
 	// Training supervision: consecutive failed automatic rounds, and the
@@ -425,12 +427,6 @@ func New(cfg Config) *Engine {
 	if cfg.IngestInflight < 0 {
 		cfg.IngestInflight = 0
 	}
-	if cfg.WALBufferPoints == 0 {
-		cfg.WALBufferPoints = 1 << 16
-	}
-	if cfg.WALBufferPoints < 0 {
-		cfg.WALBufferPoints = 0
-	}
 	if cfg.TrainRetries == 0 {
 		cfg.TrainRetries = 3
 	}
@@ -449,25 +445,26 @@ func New(cfg Config) *Engine {
 		}
 	}
 	e := &Engine{
-		shards:          make([]shard, n),
-		shardMask:       uint32(n - 1),
-		log:             cfg.Log,
-		store:           cfg.Store,
-		maxAlarms:       cfg.MaxAlarms,
-		registry:        cfg.Registry,
-		notifyCfg:       cfg.Notify,
-		notifier:        cfg.Notifier,
-		hooks:           cfg.Hooks,
-		models:          cfg.Models,
-		restoreWorkers:  cfg.RestoreWorkers,
-		cacheBudget:     budget,
-		ingestInflight:  int64(cfg.IngestInflight),
-		walBufferPoints: cfg.WALBufferPoints,
-		trainRetries:    cfg.TrainRetries,
-		trainFailLimit:  cfg.TrainFailLimit,
-		trainQ:          make(chan *managed, cfg.RetrainQueue),
-		pubQ:            make(chan *managed, cfg.RetrainQueue),
-		stop:            make(chan struct{}),
+		shards:           make([]shard, n),
+		shardMask:        uint32(n - 1),
+		log:              cfg.Log,
+		store:            cfg.Store,
+		maxAlarms:        cfg.MaxAlarms,
+		registry:         cfg.Registry,
+		notifyCfg:        cfg.Notify,
+		notifier:         cfg.Notifier,
+		hooks:            cfg.Hooks,
+		models:           cfg.Models,
+		restoreWorkers:   cfg.RestoreWorkers,
+		cacheBudget:      budget,
+		ingestInflight:   int64(cfg.IngestInflight),
+		walDeadline:      resolve(cfg.WALDeadline, 2*time.Second),
+		degradedRecovery: resolve(cfg.DegradedRecovery, 30*time.Second),
+		trainRetries:     cfg.TrainRetries,
+		trainFailLimit:   cfg.TrainFailLimit,
+		trainQ:           make(chan *managed, cfg.RetrainQueue),
+		pubQ:             make(chan *managed, cfg.RetrainQueue),
+		stop:             make(chan struct{}),
 	}
 	e.activeCfg = active.Config{
 		Band:           cfg.QueryBand,
@@ -475,9 +472,7 @@ func New(cfg Config) *Engine {
 		DriftThreshold: cfg.DriftThreshold,
 		DriftWindow:    cfg.DriftWindow,
 	}
-	e.walDeadline.Store(int64(resolve(cfg.WALDeadline, 2*time.Second)))
 	e.trainDeadline.Store(int64(resolve(cfg.TrainDeadline, 5*time.Minute)))
-	e.degradedRecovery.Store(int64(resolve(cfg.DegradedRecovery, 30*time.Second)))
 	for i := range e.shards {
 		e.shards[i].series = make(map[string]*managed)
 	}
@@ -510,8 +505,8 @@ func (e *Engine) lookup(name string) (*managed, error) {
 }
 
 // SetStore makes the engine durable: every create/points/labels mutation is
-// appended to the store's per-series write-ahead log. Call Restore after it
-// to reload existing logs. Must be called before traffic.
+// submitted to the store's write-ahead log. Call Restore after it to reload
+// existing logs. Must be called before traffic.
 func (e *Engine) SetStore(store Store) { e.store = store }
 
 // SetDetectorRegistry replaces the detector-set factory used by training.
@@ -608,57 +603,58 @@ func (e *Engine) Create(name string, cfg SeriesConfig) error {
 	if cfg.WebhookURL != "" {
 		e.attachIncident(m, cfg.WebhookURL)
 	}
-	if e.store != nil {
-		e.attachWAL(m)
-	}
 	sh := e.shardFor(name)
 	sh.mu.Lock()
-	_, exists := sh.series[name]
-	if !exists {
-		sh.series[name] = m
-	}
-	sh.mu.Unlock()
-	// discard stops the workers of a candidate that never went live, so
-	// neither its notifier nor its WAL writer leaks.
-	discard := func() {
+	if _, exists := sh.series[name]; exists {
+		sh.mu.Unlock()
 		if m.pipeline != nil {
 			m.pipeline.Close()
 		}
-		if m.walw != nil {
-			m.walw.shutdown(time.Second)
-		}
-	}
-	if exists {
-		discard()
 		return &kindError{kind: ErrExists, cause: fmt.Errorf("series %q already exists", name)}
 	}
-	if m.walw != nil {
-		// The meta record goes through the series' WAL writer like every
-		// other record, so it is ordered strictly before any points a racing
-		// Append could enqueue. Create still waits for it: a creation that
-		// cannot reach disk fails synchronously.
-		if err := m.walw.createSeries(tsdb.Meta{
-			Name:            name,
-			Start:           cfg.Start.UTC(),
-			IntervalSeconds: cfg.IntervalSeconds,
-			Recall:          pref.Recall,
-			Precision:       pref.Precision,
-			Trees:           trees,
-			WebhookURL:      cfg.WebhookURL,
-			RetrainEvery:    cfg.RetrainEvery,
-			Predictor:       uint8(predKind),
-			EVTQ:            cfg.EVTQ,
-		}); err != nil {
-			// Leave nothing behind: a failed Create must not register a
-			// series that Status finds and a retried Create collides with.
-			sh.mu.Lock()
-			if sh.series[name] == m {
-				delete(sh.series, name)
-			}
-			sh.mu.Unlock()
-			discard()
-			return err
+	sh.series[name] = m
+	if e.store == nil {
+		sh.mu.Unlock()
+		e.log.Info("series created", "name", name, "interval", interval)
+		return nil
+	}
+	// The meta record is submitted in the critical section that makes the
+	// series visible, under m.mu: an Append that finds the series queues on
+	// m.mu behind it, so its points reach the log after the meta. Create
+	// still waits for the meta, so a creation that cannot reach disk fails
+	// synchronously.
+	m.mu.Lock()
+	sh.mu.Unlock()
+	done := make(chan error, 1)
+	e.walSubmit(m, tsdb.Write{Kind: tsdb.WriteMeta, Name: name, Meta: tsdb.Meta{
+		Name:            name,
+		Start:           cfg.Start.UTC(),
+		IntervalSeconds: cfg.IntervalSeconds,
+		Recall:          pref.Recall,
+		Precision:       pref.Precision,
+		Trees:           trees,
+		WebhookURL:      cfg.WebhookURL,
+		RetrainEvery:    cfg.RetrainEvery,
+		Predictor:       uint8(predKind),
+		EVTQ:            cfg.EVTQ,
+	}}, done)
+	m.mu.Unlock()
+	ok, err := e.walAwait(context.Background(), done)
+	if !ok {
+		err = stalledf("wal create for %q timed out", name)
+	}
+	if err != nil {
+		// Leave nothing behind: a failed Create must not register a series
+		// that Status finds and a retried Create collides with.
+		sh.mu.Lock()
+		if sh.series[name] == m {
+			delete(sh.series, name)
 		}
+		sh.mu.Unlock()
+		if m.pipeline != nil {
+			m.pipeline.Close()
+		}
+		return err
 	}
 	e.log.Info("series created", "name", name, "interval", interval)
 	return nil
@@ -717,7 +713,7 @@ type Status struct {
 	Precision       float64   `json:"precision"`
 	IntervalSeconds int       `json:"interval_seconds"`
 	// Degraded reports the series is serving threshold-only verdicts while
-	// its WAL writer catches up (see the degraded-mode state machine).
+	// its durable writes catch up (see the degraded-mode state machine).
 	Degraded bool `json:"degraded,omitempty"`
 	// Quarantined reports automatic retraining is suspended after repeated
 	// failures; the last good model keeps serving.
@@ -834,10 +830,14 @@ func (e *Engine) Label(ctx context.Context, name string, windows []Window) (Labe
 				m.typed[i] = code
 			}
 		}
-		if m.walw != nil {
-			// The writer owns failure accounting and logging; a write that
+		if e.store != nil {
+			// walWrite owns failure accounting and logging; a write that
 			// blows its deadline flips the series degraded inside.
-			m.walw.appendLabel(ctx, lw.Start, lw.End, lw.Anomalous, uint8(class), typed)
+			w := tsdb.Write{Kind: tsdb.WriteLabel, Name: m.name, Start: lw.Start, End: lw.End, Anomalous: lw.Anomalous}
+			if typed {
+				w.Kind, w.Class = tsdb.WriteTypedLabel, uint8(class)
+			}
+			e.walWrite(ctx, m, w)
 		}
 	}
 	return LabelResult{
@@ -857,9 +857,9 @@ func (e *Engine) Label(ctx context.Context, name string, windows []Window) (Labe
 // retrain; a series that is not trainable either restores its data and waits
 // for the operator.
 //
-// A series whose log is damaged is quarantined — renamed to
-// "<name>.wal.corrupt", logged, and counted — and restore continues with the
-// remaining series: one corrupt log must not take down the daemon. An
+// A series whose log is damaged is quarantined — tombstoned in the store,
+// logged, and counted — and restore continues with the remaining series:
+// one corrupt log must not take down the daemon. An
 // artifact that decodes to garbage is likewise quarantined (*.corrupt inside
 // the registry) before the cold fallback.
 func (e *Engine) Restore(ctx context.Context) (int, error) {
@@ -946,7 +946,6 @@ func (e *Engine) restoreOne(ctx context.Context, name string) bool {
 	if meta.WebhookURL != "" {
 		e.attachIncident(m, meta.WebhookURL)
 	}
-	e.attachWAL(m)
 
 	warm := false
 	if e.models != nil {
@@ -979,16 +978,16 @@ func (e *Engine) restoreOne(ctx context.Context, name string) bool {
 
 // Close stops the retrain and publish workers (waiting out a round already
 // in flight), publishes any trained model newer than its last artifact so a
-// retrain finished moments before shutdown is not lost, and shuts down the
+// retrain finished moments before shutdown is not lost, shuts down the
 // per-series notification pipelines, giving pending webhook deliveries a
-// short drain window. Call it after the serving transport has stopped so no
-// new work can arrive.
+// short drain window, and then waits for pending durable writes. Call it
+// after the serving transport has stopped so no new work can arrive.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.stop) })
 	e.wg.Wait()
 	e.PublishModels()
 	var pipelines []*alerting.Pipeline
-	var writers []*walWriter
+	var all []*managed
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.RLock()
@@ -996,9 +995,7 @@ func (e *Engine) Close() {
 			if m.pipeline != nil {
 				pipelines = append(pipelines, m.pipeline)
 			}
-			if m.walw != nil {
-				writers = append(writers, m.walw)
-			}
+			all = append(all, m)
 		}
 		sh.mu.RUnlock()
 	}
@@ -1008,12 +1005,17 @@ func (e *Engine) Close() {
 		_ = p.Drain(ctx)
 		p.Close()
 	}
-	// Drain the WAL writers last so everything buffered during a degraded
-	// window reaches disk before the store is closed; a writer wedged on a
-	// stuck store is abandoned after its timeout (logged, not waited out).
-	for _, w := range writers {
-		if !w.shutdown(5 * time.Second) {
-			e.log.Error("wal writer did not drain before close", "series", w.series)
+	// Wait for pending durable writes last, so everything submitted during
+	// a degraded window reaches disk before the store is closed. One
+	// deadline covers every series: a store wedged past it is abandoned
+	// (logged, not waited out).
+	timeout := time.After(5 * time.Second)
+	for i, m := range all {
+		select {
+		case <-m.walIdle():
+		case <-timeout:
+			e.log.Error("durable writes did not drain before close", "series_waiting", len(all)-i)
+			return
 		}
 	}
 }

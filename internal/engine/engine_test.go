@@ -179,43 +179,22 @@ func TestAlarmRing(t *testing.T) {
 	}
 }
 
-// flakyStore fails CreateSeries/AppendPoints/AppendLabel on demand;
-// everything else succeeds without persisting anything.
+// flakyStore fails every durable write on demand; everything else succeeds
+// without persisting anything. Completions run inside Submit, in order.
 type flakyStore struct {
-	mu       sync.Mutex
-	fail     bool
-	appends  int
-	failures int
+	mu   sync.Mutex
+	fail bool
 }
 
 func (f *flakyStore) setFail(v bool) { f.mu.Lock(); f.fail = v; f.mu.Unlock() }
 
-func (f *flakyStore) CreateSeries(tsdb.Meta) error {
+func (f *flakyStore) Submit(_ tsdb.Write, done func(error)) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.fail {
-		return fmt.Errorf("disk full")
-	}
-	return nil
-}
-
-func (f *flakyStore) AppendPoints(context.Context, string, []float64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.appends++
-	if f.fail {
-		f.failures++
-		return fmt.Errorf("disk full")
-	}
-	return nil
-}
-
-func (f *flakyStore) AppendLabel(context.Context, string, int, int, bool) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.fail {
-		f.failures++
-		return fmt.Errorf("disk full")
+		done(fmt.Errorf("disk full"))
+	} else {
+		done(nil)
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"opprentice/internal/tsdb"
@@ -13,23 +12,16 @@ import (
 
 // This file is the engine's overload and stall machinery: the watchdog
 // that supervises training and publish rounds, per-shard admission
-// control, the per-series background WAL writer whose deadline misses flip
-// a series into degraded mode, the threshold-only scorer that serves
+// control, the durable-write accounting whose deadline misses flip a
+// series into degraded mode, the threshold-only scorer that serves
 // verdicts while degraded, and the hysteresis that recovers out of it. The
 // retry and quarantine policy for stalled rounds lives in train.go;
 // together they give the engine a defined answer to "what happens when it
 // can't keep up" instead of an unbounded stall.
 
-// SetWALDeadline retunes the durable-write budget at runtime (0 disables).
-func (e *Engine) SetWALDeadline(d time.Duration) { e.walDeadline.Store(int64(d)) }
-
 // SetTrainDeadline retunes the training/publish watchdog at runtime
 // (0 disables).
 func (e *Engine) SetTrainDeadline(d time.Duration) { e.trainDeadline.Store(int64(d)) }
-
-// SetDegradedRecovery retunes the degraded-mode recovery hysteresis at
-// runtime (0 makes degraded mode sticky).
-func (e *Engine) SetDegradedRecovery(d time.Duration) { e.degradedRecovery.Store(int64(d)) }
 
 // supervise runs fn on its own goroutine under the training watchdog, the
 // one watchdog of training rounds and model publishes. The deadline is the
@@ -110,8 +102,8 @@ func (e *Engine) admit(sh *shard, n int) (admitToken, error) {
 
 // enterDegraded flips a series into degraded serving (caller holds m.mu):
 // verdicts become threshold-only against the last trained model's cThld,
-// appended values accumulate in pending for the recovery replay, and WAL
-// ops are buffered in the background writer.
+// appended values accumulate in pending for the recovery replay, and
+// durable writes are submitted without waiting.
 func (e *Engine) enterDegraded(m *managed, reason string) {
 	if m.degraded {
 		return
@@ -129,26 +121,28 @@ func (e *Engine) enterDegraded(m *managed, reason string) {
 	e.log.Warn("series degraded", "series", m.name, "reason", reason)
 }
 
-// maybeRecover leaves degraded mode (caller holds m.mu) once the WAL
-// writer has been quiet for the full hysteresis window and its queue has
-// drained. The values appended while degraded are replayed through the
-// real monitor — their client-facing verdicts were already issued by the
-// threshold scorer, so replay verdicts are discarded exactly like the
-// retrain replay — which makes the monitor state bit-identical to a run
-// that never degraded.
+// maybeRecover leaves degraded mode (caller holds m.mu) once no durable
+// write of the series has blown the WAL deadline for the full hysteresis
+// window and none is pending. The values appended while degraded are
+// replayed through the real monitor — their client-facing verdicts were
+// already issued by the threshold scorer, so replay verdicts are discarded
+// exactly like the retrain replay — which makes the monitor state
+// bit-identical to a run that never degraded.
 func (e *Engine) maybeRecover(m *managed) {
 	if !m.degraded {
 		return
 	}
-	rec := time.Duration(e.degradedRecovery.Load())
-	if rec <= 0 {
+	if e.degradedRecovery <= 0 {
 		return // sticky until restart
 	}
 	last := time.Unix(0, m.lastViolation.Load())
-	if time.Since(last) < rec {
+	if time.Since(last) < e.degradedRecovery {
 		return
 	}
-	if m.walw != nil && !m.walw.idle() {
+	m.walMu.Lock()
+	pending := m.walPending
+	m.walMu.Unlock()
+	if pending > 0 {
 		return
 	}
 	if m.monitor != nil {
@@ -257,257 +251,156 @@ func (e *Engine) Ready() Readiness {
 	return r
 }
 
-// SyncWAL blocks until every WAL op enqueued for the series before the
-// call has been executed (a write barrier), or ctx is done. Tests and the
-// simulation harness use it to force the background writer to a known
+// SyncWAL blocks until the series has no durable write pending, or ctx is
+// done. Tests and the simulation harness use it to bring the log to a known
 // point; it is not on any hot path.
 func (e *Engine) SyncWAL(ctx context.Context, name string) error {
 	m, err := e.lookup(name)
 	if err != nil {
 		return err
 	}
-	if m.walw == nil {
-		return nil
-	}
-	done := make(chan error, 1)
-	if !m.walw.enqueue(walOp{kind: opBarrier, done: done}) {
-		return stalledf("wal writer for %q is saturated or closed", name)
-	}
 	select {
-	case err := <-done:
-		return err
+	case <-m.walIdle():
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// opKind enumerates WAL writer operations.
-type opKind int
-
-const (
-	opMeta opKind = iota
-	opPoints
-	opLabel
-	opBarrier
-)
-
-// walOp is one queued durable write (or a barrier). done, when non-nil,
-// receives the store's result exactly once (buffered so an abandoned
-// waiter never blocks the writer).
-type walOp struct {
-	kind      opKind
-	meta      tsdb.Meta
-	values    []float64
-	start     int
-	end       int
-	anomalous bool
-	typed     bool  // the label carries an anomaly class
-	class     uint8 // core.AnomalyClass wire code
-	done      chan error
-}
-
-// TypedLabelStore is the optional store capability for anomaly-class label
-// records. *tsdb.Store implements it; a store without it (test fakes,
-// older stores) silently degrades typed labels to plain ones in the log —
-// the in-memory typed channel is unaffected.
+// TypedLabelStore is the synchronous typed-label write of *tsdb.Store. The
+// engine itself submits typed labels through Store.Submit
+// (tsdb.WriteTypedLabel); wrappers of the store still name this interface.
 type TypedLabelStore interface {
 	AppendTypedLabel(ctx context.Context, name string, start, end int, anomalous bool, class uint8) error
 }
 
 var _ TypedLabelStore = (*tsdb.Store)(nil)
 
-// walWriter serializes one series' durable writes on a dedicated
-// goroutine. Ops are enqueued under the series mutex, so queue order is
-// exactly append order; the healthy ingest path then waits for its op up
-// to the WAL deadline, and a miss flips the series degraded while the
-// writer keeps draining in the background with bounded buffering.
-type walWriter struct {
-	series string
-	eng    *Engine
-	m      *managed
+// walBufferPoints bounds the points one series may have pending in the
+// store. A points write beyond it — in practice only while degraded, when
+// writes are submitted without waiting — is dropped from the log (never
+// from memory) and counted in Counters().WALLostPoints.
+const walBufferPoints = 1 << 16
 
-	mu         sync.Mutex
-	closed     bool
-	pendingOps int // enqueued but not yet executed
-	buffered   int // points those ops hold (degraded-mode memory bound)
+// closedCh is what walIdle returns when nothing is pending.
+var closedCh = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
-	ops     chan walOp
-	drained chan struct{}
-}
-
-// attachWAL wires a background WAL writer to the series. Must be called
-// before the series sees traffic.
-func (e *Engine) attachWAL(m *managed) {
-	if e.store == nil {
-		return
-	}
-	w := &walWriter{
-		series:  m.name,
-		eng:     e,
-		m:       m,
-		ops:     make(chan walOp, 4096),
-		drained: make(chan struct{}),
-	}
-	m.walw = w
-	go w.run()
-}
-
-// enqueue adds one op to the queue. It reports false — without blocking —
-// when the writer is closed, the op channel is full, or a points op would
-// exceed the buffered-points bound; the caller decides whether that is a
-// loss to account.
-func (w *walWriter) enqueue(op walOp) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return false
-	}
-	if op.kind == opPoints && w.eng.walBufferPoints > 0 &&
-		w.buffered+len(op.values) > w.eng.walBufferPoints {
-		return false
-	}
-	select {
-	case w.ops <- op:
-		w.pendingOps++
-		w.buffered += len(op.values)
-		return true
-	default:
-		return false
-	}
-}
-
-// idle reports whether every enqueued op has been executed.
-func (w *walWriter) idle() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.pendingOps == 0
-}
-
-// run executes ops in order until shutdown closes the queue.
-func (w *walWriter) run() {
-	defer close(w.drained)
-	for op := range w.ops {
-		w.exec(op)
-	}
-}
-
-// exec performs one op against the store, stamps deadline violations and
-// errors on the series, and wakes any waiter.
-func (w *walWriter) exec(op walOp) {
-	deadline := time.Duration(w.eng.walDeadline.Load())
-	started := time.Now()
-	var err error
-	switch op.kind {
-	case opMeta:
-		err = w.eng.store.CreateSeries(op.meta)
-	case opPoints:
-		// The queue decouples callers from the store, so there is no caller
-		// context to propagate: the op must run to completion regardless —
-		// the caller's await has its own deadline.
-		err = w.eng.store.AppendPoints(context.Background(), w.series, op.values)
-	case opLabel:
-		if ts, ok := w.eng.store.(TypedLabelStore); ok && op.typed {
-			err = ts.AppendTypedLabel(context.Background(), w.series, op.start, op.end, op.anomalous, op.class)
-		} else {
-			err = w.eng.store.AppendLabel(context.Background(), w.series, op.start, op.end, op.anomalous)
-		}
-	case opBarrier:
-		// Nothing: completing it is the point.
-	}
-	if op.kind == opPoints || op.kind == opLabel {
-		if err != nil {
-			w.eng.counters.walAppendErrors.Add(1)
-			w.eng.log.Error("wal append failed", "series", w.series, "err", err)
-		} else if deadline > 0 && time.Since(started) > deadline {
+// walSubmit hands one write for m to the store (caller holds m.mu, so the
+// store queues the series' writes in append order) and counts it pending
+// until its completion runs; a write the store refuses at once completes
+// at once. done, when non-nil, receives the result.
+func (e *Engine) walSubmit(m *managed, w tsdb.Write, done chan error) {
+	n, kind := len(w.Values), w.Kind
+	m.walMu.Lock()
+	m.walPending++
+	m.walBuffered += n
+	m.walMu.Unlock()
+	submitted := time.Now()
+	complete := func(err error) {
+		switch {
+		case kind == tsdb.WriteMeta:
+			// Create reports its own failure.
+		case err != nil:
+			e.counters.walAppendErrors.Add(1)
+			e.log.Error("wal append failed", "series", m.name, "err", err)
+		case e.walDeadline > 0 && time.Since(submitted) > e.walDeadline:
 			// A write that completed but blew its budget counts as a
 			// violation for the recovery hysteresis, not as an error.
-			w.m.lastViolation.Store(time.Now().UnixNano())
+			m.lastViolation.Store(time.Now().UnixNano())
+		}
+		m.walSettle(n)
+		if done != nil {
+			done <- err
 		}
 	}
-	w.mu.Lock()
-	w.pendingOps--
-	w.buffered -= len(op.values)
-	w.mu.Unlock()
-	if op.done != nil {
-		op.done <- err
+	if err := e.store.Submit(w, complete); err != nil {
+		complete(err)
 	}
 }
 
-// await waits for an op's result up to the deadline (and ctx). completed
-// is false on a deadline or context miss; the op still executes in the
-// background and its accounting happens in exec.
-func (w *walWriter) await(ctx context.Context, done chan error, deadline time.Duration) (err error, completed bool) {
+// walSettle retires one pending write of n points, waking walIdle waiters
+// when it was the last.
+func (m *managed) walSettle(n int) {
+	m.walMu.Lock()
+	m.walPending--
+	m.walBuffered -= n
+	if m.walPending == 0 && m.walDrained != nil {
+		close(m.walDrained)
+		m.walDrained = nil
+	}
+	m.walMu.Unlock()
+}
+
+// walIdle returns a channel closed once m has no durable write pending.
+func (m *managed) walIdle() <-chan struct{} {
+	m.walMu.Lock()
+	defer m.walMu.Unlock()
+	if m.walPending == 0 {
+		return closedCh
+	}
+	if m.walDrained == nil {
+		m.walDrained = make(chan struct{})
+	}
+	return m.walDrained
+}
+
+// walWrite makes one points or label write durable for m (caller holds
+// m.mu) and reports whether it is on disk when the call returns. A healthy
+// series waits up to the WAL deadline and flips degraded on a miss; a
+// degraded one submits without waiting. A points write that would take the
+// series past walBufferPoints pending points is dropped from the log with
+// loss accounting.
+func (e *Engine) walWrite(ctx context.Context, m *managed, w tsdb.Write) bool {
+	if n := len(w.Values); n > 0 {
+		m.walMu.Lock()
+		full := m.walBuffered+n > walBufferPoints
+		m.walMu.Unlock()
+		if full {
+			e.counters.walLostPoints.Add(int64(n))
+			e.log.Error("wal batch dropped: buffer full", "series", m.name, "points", n)
+			e.enterDegraded(m, "wal buffer full")
+			return false
+		}
+	}
+	if m.degraded {
+		e.walSubmit(m, w, nil)
+		e.counters.walBufferedPoints.Add(int64(len(w.Values)))
+		return false
+	}
+	done := make(chan error, 1)
+	e.walSubmit(m, w, done)
+	if ok, err := e.walAwait(ctx, done); ok {
+		return err == nil
+	}
+	if ctx.Err() == nil {
+		// A real deadline miss, not the client hanging up: the series flips
+		// degraded and the write completes in the background.
+		m.lastViolation.Store(time.Now().UnixNano())
+		e.enterDegraded(m, "wal write blew its deadline")
+	}
+	return false
+}
+
+// walAwait waits for a submitted write's result up to the WAL deadline and
+// ctx. ok is false on a miss; the write stays queued and its completion
+// still runs.
+func (e *Engine) walAwait(ctx context.Context, done chan error) (ok bool, err error) {
 	var timer <-chan time.Time
-	if deadline > 0 {
-		t := time.NewTimer(deadline)
+	if e.walDeadline > 0 {
+		t := time.NewTimer(e.walDeadline)
 		defer t.Stop()
 		timer = t.C
 	}
 	select {
 	case err := <-done:
-		return err, true
+		return true, err
 	case <-timer:
-		return nil, false
+		return false, nil
 	case <-ctx.Done():
-		return ctx.Err(), false
-	}
-}
-
-// createSeries writes the series' meta record through the queue (ordered
-// before any racing points op) and waits for it, so Create keeps its
-// synchronous error contract.
-func (w *walWriter) createSeries(meta tsdb.Meta) error {
-	done := make(chan error, 1)
-	if !w.enqueue(walOp{kind: opMeta, meta: meta, done: done}) {
-		return stalledf("wal writer for %q is saturated or closed", w.series)
-	}
-	err, completed := w.await(context.Background(), done, time.Duration(w.eng.walDeadline.Load()))
-	if !completed {
-		return stalledf("wal create for %q timed out", w.series)
-	}
-	return err
-}
-
-// appendLabel routes one label record through the queue (typed when the
-// action carries an anomaly class). Healthy path: wait up to the WAL
-// deadline, flipping degraded on a miss. Degraded path: enqueue without
-// waiting. Callers hold m.mu.
-func (w *walWriter) appendLabel(ctx context.Context, start, end int, anomalous bool, class uint8, typed bool) {
-	op := walOp{kind: opLabel, start: start, end: end, anomalous: anomalous, class: class, typed: typed}
-	if w.m.degraded {
-		if !w.enqueue(op) {
-			w.eng.log.Error("wal label dropped: writer saturated", "series", w.series)
-		}
-		return
-	}
-	op.done = make(chan error, 1)
-	if !w.enqueue(op) {
-		w.eng.enterDegraded(w.m, "wal writer saturated")
-		w.eng.log.Error("wal label dropped: writer saturated", "series", w.series)
-		return
-	}
-	if _, completed := w.await(ctx, op.done, time.Duration(w.eng.walDeadline.Load())); !completed {
-		w.m.lastViolation.Store(time.Now().UnixNano())
-		w.eng.enterDegraded(w.m, "wal label write blew its deadline")
-	}
-}
-
-// shutdown closes the queue (idempotent) and waits up to timeout for the
-// writer to drain, reporting whether it did.
-func (w *walWriter) shutdown(timeout time.Duration) bool {
-	w.mu.Lock()
-	if !w.closed {
-		w.closed = true
-		close(w.ops)
-	}
-	w.mu.Unlock()
-	if timeout <= 0 {
-		return true
-	}
-	select {
-	case <-w.drained:
-		return true
-	case <-time.After(timeout):
-		return false
+		return false, ctx.Err()
 	}
 }

@@ -60,48 +60,44 @@ func TestAdmissionShedsWholeBatch(t *testing.T) {
 	}
 }
 
-// stallStore is an in-memory engine.Store whose writes block while the gate
-// is armed — a deterministic stand-in for a stalling disk.
+// stallStore is an in-memory engine.Store whose points and label writes
+// wedge while the gate is armed — a deterministic stand-in for a stalling
+// disk. Wedged writes complete, in submission order, at release; a write
+// submitted behind them queues behind them, so each series' writes still
+// complete in order.
 type stallStore struct {
-	mu   sync.Mutex
-	gate chan struct{}
+	mu    sync.Mutex
+	armed bool
+	held  []func(error)
 }
 
 func (s *stallStore) arm() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.gate == nil {
-		s.gate = make(chan struct{})
-	}
+	s.armed = true
 }
 
 func (s *stallStore) release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.gate != nil {
-		close(s.gate)
-		s.gate = nil
+	s.armed = false
+	for _, done := range s.held {
+		done(nil)
 	}
+	s.held = nil
 }
 
-func (s *stallStore) wait() {
+func (s *stallStore) Submit(w tsdb.Write, done func(error)) error {
 	s.mu.Lock()
-	g := s.gate
-	s.mu.Unlock()
-	if g != nil {
-		<-g
+	defer s.mu.Unlock()
+	if w.Kind != tsdb.WriteMeta && (s.armed || len(s.held) > 0) {
+		s.held = append(s.held, done)
+		return nil
 	}
+	done(nil)
+	return nil
 }
 
-func (s *stallStore) CreateSeries(tsdb.Meta) error { return nil }
-func (s *stallStore) AppendPoints(context.Context, string, []float64) error {
-	s.wait()
-	return nil
-}
-func (s *stallStore) AppendLabel(context.Context, string, int, int, bool) error {
-	s.wait()
-	return nil
-}
 func (s *stallStore) List() ([]string, error)           { return nil, nil }
 func (s *stallStore) Load(string) (*tsdb.Loaded, error) { return nil, fmt.Errorf("not stored") }
 func (s *stallStore) Quarantine(string) (string, error) { return "", fmt.Errorf("not stored") }
@@ -220,7 +216,7 @@ func TestDegradedRecoveryConverges(t *testing.T) {
 		t.Fatalf("degraded series missing from readiness: %+v", r)
 	}
 
-	// Clear the stall, drain the writer, and let the hysteresis window pass.
+	// Clear the stall, drain the pending writes, and let the hysteresis window pass.
 	store.release()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	if err := a.SyncWAL(ctx, "pv"); err != nil {

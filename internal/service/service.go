@@ -54,8 +54,7 @@
 //     opprenticed_notify_dropped_total — asynchronous webhook delivery
 //     outcomes, summed over the per-series alerting pipelines.
 //   - opprenticed_wal_quarantined_total — corrupt series tombstoned out of
-//     the segmented WAL during Restore (legacy JSON-lines logs are renamed
-//     to *.wal.corrupt instead).
+//     the segmented WAL during Restore.
 //   - opprenticed_wal_append_errors_total — durable appends (points or
 //     labels) that failed; the affected points responses also carry
 //     "persisted": false.
@@ -68,8 +67,8 @@
 //     and the opprenticed_series_degraded gauge — degraded-mode transitions
 //     and the number of series currently degraded.
 //   - opprenticed_wal_buffered_points_total / opprenticed_wal_lost_points_total
-//     — points buffered by degraded WAL writers, and points dropped from the
-//     log when that buffer overflowed.
+//     — points submitted to the WAL without waiting by degraded series, and
+//     points dropped from the log when a series' pending bound was hit.
 //   - opprenticed_train_stalls_total / opprenticed_train_retries_total /
 //     opprenticed_series_quarantined_total / opprenticed_worker_panics_total
 //     — watchdog activity on the training/publish workers.
@@ -195,8 +194,8 @@ func NewServerWithEngine(eng *engine.Engine, log *slog.Logger) *Server {
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // SetStore makes the service durable: every create/points/labels mutation is
-// appended to the store's per-series write-ahead log. Call Restore after it
-// to reload existing logs.
+// submitted to the store's write-ahead log. Call Restore after it to reload
+// existing logs.
 func (s *Server) SetStore(store *tsdb.Store) {
 	if store == nil {
 		s.eng.SetStore(nil)

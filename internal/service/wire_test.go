@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -59,11 +58,11 @@ type failingStore struct {
 	fail bool
 }
 
-func (f *failingStore) AppendPoints(ctx context.Context, name string, values []float64) error {
-	if f.fail {
+func (f *failingStore) Submit(w tsdb.Write, done func(error)) error {
+	if f.fail && w.Kind == tsdb.WritePoints {
 		return errors.New("disk full")
 	}
-	return f.Store.AppendPoints(ctx, name, values)
+	return f.Store.Submit(w, done)
 }
 
 // TestPersistedFieldSurfacesWALFailure checks the wire contract of the

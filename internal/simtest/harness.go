@@ -247,6 +247,7 @@ func (h *Harness) engineConfig(store engine.Store, models *modelreg.Registry, re
 		// batch can trip, a short recovery hysteresis, and a failure limit
 		// of 2 so one watchdog retry reaches quarantine.
 		IngestInflight:   simInflight,
+		WALDeadline:      simWALDeadline,
 		DegradedRecovery: recoveryWindow,
 		TrainRetries:     3,
 		TrainFailLimit:   2,

@@ -12,10 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"opprentice/internal/engine"
 	"opprentice/internal/faultinject"
+	"opprentice/internal/tsdb"
 )
 
 const (
@@ -23,16 +25,18 @@ const (
 	// small enough that a single oversized batch (simInflight+1 points)
 	// trips admission control from a single-threaded driver.
 	simInflight = 512
-	// stallWALDeadline / stallTrainDeadline are the tightened deadlines
-	// during a fault window, so a stall is detected in milliseconds instead
-	// of the production seconds/minutes.
-	stallWALDeadline   = 250 * time.Millisecond
+	// stallTrainDeadline is the tightened training deadline during a hung
+	// trainer window, so a stall is detected in milliseconds instead of the
+	// production minutes; prodTrainDeadline restores the engine default
+	// afterwards (the setter treats zero as "disabled", so the restore must
+	// store the explicit default). The slow-disk window runs against the
+	// engine's configured WAL deadline, simWALDeadline.
 	stallTrainDeadline = 250 * time.Millisecond
-	// prodWALDeadline / prodTrainDeadline restore the engine defaults after
-	// a fault window. The setters treat zero as "disabled", so the restore
-	// must store the explicit defaults.
-	prodWALDeadline   = 2 * time.Second
-	prodTrainDeadline = 5 * time.Minute
+	prodTrainDeadline  = 5 * time.Minute
+	// simWALDeadline is the engine's WAL deadline for the whole run: the
+	// production default, so fsync jitter on a loaded machine never
+	// degrades a series outside the slow-disk window.
+	simWALDeadline = 2 * time.Second
 	// recoveryWindow is the degraded-recovery hysteresis the simulation
 	// configures, and degradedBatches how many batches ride the degraded
 	// path before the stall clears.
@@ -45,34 +49,50 @@ const (
 )
 
 // gatedStore wraps the engine's store so a StallGate can wedge every
-// durable write, emulating a disk that has stopped answering. Reads and
-// series creation stay untouched: the simulated failure is a slow data
-// path, not a missing one.
+// durable points and label write, emulating a disk that has stopped
+// answering. Reads and series creation stay untouched: the simulated
+// failure is a slow data path, not a missing one. Submit must not block, so
+// a wedged write is held instead — in submission order, and with every
+// later write queued behind it so each series' log order survives — and
+// handed to the real store once the gate releases.
 type gatedStore struct {
 	engine.Store
 	gate *faultinject.StallGate
+
+	mu   sync.Mutex
+	held []heldWrite
 }
 
-func (g *gatedStore) AppendPoints(ctx context.Context, name string, values []float64) error {
-	g.gate.Wait()
-	return g.Store.AppendPoints(ctx, name, values)
+type heldWrite struct {
+	w    tsdb.Write
+	done func(error)
 }
 
-func (g *gatedStore) AppendLabel(ctx context.Context, name string, start, end int, anomalous bool) error {
-	g.gate.Wait()
-	return g.Store.AppendLabel(ctx, name, start, end, anomalous)
-}
-
-// AppendTypedLabel forwards the optional anomaly-class capability through the
-// gate. The embedded interface would hide it (it is not part of engine.Store),
-// and the engine's contract for a store without it is to silently degrade
-// typed labels to plain records — which the WAL-replay invariant rejects.
-func (g *gatedStore) AppendTypedLabel(ctx context.Context, name string, start, end int, anomalous bool, class uint8) error {
-	g.gate.Wait()
-	if ts, ok := g.Store.(engine.TypedLabelStore); ok {
-		return ts.AppendTypedLabel(ctx, name, start, end, anomalous, class)
+func (g *gatedStore) Submit(w tsdb.Write, done func(error)) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.held) == 0 && (w.Kind == tsdb.WriteMeta || !g.gate.Armed()) {
+		return g.Store.Submit(w, done)
 	}
-	return g.Store.AppendLabel(ctx, name, start, end, anomalous)
+	if len(g.held) == 0 {
+		go g.forward()
+	}
+	g.held = append(g.held, heldWrite{w: w, done: done})
+	return nil
+}
+
+// forward waits out the gate, then submits the held writes in order. It
+// ends with the gate: faultSlowDisk releases it on every path.
+func (g *gatedStore) forward() {
+	g.gate.Wait()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, h := range g.held {
+		if err := g.Store.Submit(h.w, h.done); err != nil {
+			h.done(err)
+		}
+	}
+	g.held = nil
 }
 
 // chooseHungTarget picks the series whose next batch will cross the retrain
@@ -214,12 +234,12 @@ func (h *Harness) afterStalledTrain(st *seriesState) error {
 	return nil
 }
 
-// faultSlowDisk stalls the store under one series' WAL writer: the next
-// batch blows the (tightened) WAL deadline and flips the series degraded,
-// two more batches ride the degraded path (threshold-only advisory
-// verdicts, bounded buffering), and once the stall clears the series must
-// drain, recover through the hysteresis, and serve full-fidelity verdicts
-// again — with zero lost points.
+// faultSlowDisk stalls the store's durable writes: the next batch blows
+// the WAL deadline and flips the series degraded, two more batches ride
+// the degraded path (threshold-only advisory verdicts, bounded buffering),
+// and once the stall clears the series must drain, recover through the
+// hysteresis, and serve full-fidelity verdicts again — with zero lost
+// points.
 func (h *Harness) faultSlowDisk() error {
 	var st *seriesState
 	for _, name := range h.names {
@@ -236,7 +256,6 @@ func (h *Harness) faultSlowDisk() error {
 	n := h.scen.BatchPoints
 	h.tracef("step %d: slow_disk %s", h.step, name)
 
-	h.eng.SetWALDeadline(stallWALDeadline)
 	h.walGate.Arm()
 	released := false
 	release := func() {
@@ -245,7 +264,6 @@ func (h *Harness) faultSlowDisk() error {
 		}
 		released = true
 		h.walGate.Release()
-		h.eng.SetWALDeadline(prodWALDeadline)
 	}
 	defer release()
 
@@ -259,10 +277,10 @@ func (h *Harness) faultSlowDisk() error {
 		return err
 	}
 	if res.Persisted {
-		return h.fail("degraded", "series %s: WAL writer wedged but the append still reports persisted", name)
+		return h.fail("degraded", "series %s: store wedged but the append still reports persisted", name)
 	}
 	if !res.Degraded {
-		return h.fail("degraded", "series %s: append blew the %v WAL deadline without entering degraded mode", name, stallWALDeadline)
+		return h.fail("degraded", "series %s: append blew the %v WAL deadline without entering degraded mode", name, simWALDeadline)
 	}
 	if len(res.Verdicts) != n {
 		return h.fail("verdicts", "series %s: %d verdicts for the degrading batch of %d", name, len(res.Verdicts), n)
@@ -280,8 +298,8 @@ func (h *Harness) faultSlowDisk() error {
 	}
 	h.expDegEntered++
 
-	// Degraded serving: threshold-only advisory verdicts, values buffered
-	// in the background writer, nothing alarmed.
+	// Degraded serving: threshold-only advisory verdicts, writes queued
+	// behind the stall, nothing alarmed.
 	for b := 0; b < degradedBatches; b++ {
 		base = st.total
 		res, err := h.appendRaw(st, n)
@@ -321,15 +339,15 @@ func (h *Harness) faultSlowDisk() error {
 		return h.fail("degraded", "series %s: degraded but readiness %+v does not say so", name, r)
 	}
 
-	// Clear the stall, force the writer to drain, and wait out the
-	// hysteresis (the wedged op completes "slow" at release, stamping the
-	// last violation — the quiet period starts there).
+	// Clear the stall, wait for the queued writes to drain, and wait out
+	// the hysteresis (the wedged writes complete "slow" at release,
+	// stamping the last violation — the quiet period starts there).
 	release()
 	ctx, cancel := context.WithTimeout(context.Background(), stallAwait)
 	err = h.eng.SyncWAL(ctx, name)
 	cancel()
 	if err != nil {
-		return h.fail("degraded", "series %s: WAL writer did not drain after the stall cleared: %v", name, err)
+		return h.fail("degraded", "series %s: durable writes did not drain after the stall cleared: %v", name, err)
 	}
 	time.Sleep(recoveryWindow + 250*time.Millisecond)
 

@@ -29,7 +29,7 @@
 //   - overload sheds atomic: a batch over the in-flight budget is rejected
 //     with ErrOverloaded and zero points appended, and the next batch
 //     passes;
-//   - a stalled WAL writer flips the series degraded (threshold-only
+//   - a stalled WAL write flips the series degraded (threshold-only
 //     advisory verdicts, bounded buffering, zero lost points) and the
 //     hysteresis recovers it once the stall clears;
 //   - the training watchdog abandons a wedged round as ErrStalled, retries
@@ -80,7 +80,7 @@ const (
 	// then restores a fresh engine from disk and cross-checks it against a
 	// twin restored from a copy of the same disk state.
 	FaultCrashRestore
-	// FaultSlowDisk stalls the store under one series' WAL writer: the next
+	// FaultSlowDisk stalls the store's durable writes: the next
 	// append must blow the WAL deadline and flip the series into degraded
 	// (threshold-only) serving with bounded buffering, then recover through
 	// the hysteresis once the stall clears — with zero lost points.

@@ -10,31 +10,17 @@ import (
 )
 
 // Per-shard appender: one goroutine owns the shard's active segment file
-// and turns concurrent requests into group-commit frames — collect a batch,
-// encode it, one write, one fsync, then publish the staged index updates
-// and ack every caller. A crash can therefore only lose requests that were
-// never acked; everything acked sits in an fsynced frame.
+// and turns concurrent submissions into group-commit frames — take the
+// queue, encode it, one write, one fsync, then publish the staged index
+// updates and run every completion. A crash can therefore only lose writes
+// whose completion never ran; every completed write sits in an fsynced
+// frame.
 
-const (
-	reqCreate = iota
-	reqPoints
-	reqLabel
-	reqTombstone
-	reqImport // legacy-log migration: meta + points + labels in one frame
-	reqTypedLabel
-)
-
+// request is one queued write and its completion.
 type request struct {
-	op         int
-	name       string
-	meta       Meta      // reqCreate, reqImport
-	values     []float64 // reqPoints, reqImport
-	start, end int       // reqLabel, reqTypedLabel
-	anomalous  bool      // reqLabel, reqTypedLabel
-	class      byte      // reqTypedLabel
-	labels     []bool    // reqImport
-	resp       chan error
-	err        error // per-request rejection inside an otherwise good batch
+	Write
+	done func(error)
+	err  error // per-request rejection inside an otherwise good batch
 }
 
 const (
@@ -46,66 +32,74 @@ const (
 	frameSplit = 8 << 20
 )
 
+// enqueue appends req to the shard's queue and wakes the appender. It
+// never waits on a commit: the queue is a plain slice the appender swaps
+// out whole, so its only cost is the append under qmu.
+func (sh *shard) enqueue(req request) {
+	sh.qmu.Lock()
+	sh.queue = append(sh.queue, req)
+	sh.qmu.Unlock()
+	select {
+	case sh.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
 // run is the appender loop. It exits when quit closes, after draining
 // every request already enqueued (the Store's close barrier guarantees no
-// new ones arrive).
+// new ones arrive). With a group-commit window configured, each wake-up
+// holds the batch open for the window so concurrent writers share the
+// fsync; otherwise it commits whatever is queued at once.
 func (sh *shard) run() {
 	defer sh.wg.Done()
 	for {
 		select {
-		case req := <-sh.reqs:
-			sh.commit(sh.gather(req, true))
-		case <-sh.quit:
-			for {
+		case <-sh.wake:
+			if window := sh.store.opts.groupCommit; window > 0 {
+				t := time.NewTimer(window)
 				select {
-				case req := <-sh.reqs:
-					sh.commit(sh.gather(req, false))
-				default:
-					sh.closeActive()
-					return
+				case <-t.C:
+				case <-sh.quit:
 				}
+				t.Stop()
 			}
+			sh.drain()
+		case <-sh.quit:
+			sh.drain()
+			sh.closeActive()
+			return
 		}
 	}
 }
 
-// gather builds one batch starting from first. With a group-commit window
-// configured (and wait set), the batch is held open for the window so
-// concurrent writers share the fsync; otherwise it takes whatever is
-// already queued.
-func (sh *shard) gather(first *request, wait bool) []*request {
-	batch := []*request{first}
-	if window := sh.store.opts.groupCommit; window > 0 && wait {
-		timer := time.NewTimer(window)
-		defer timer.Stop()
-		for len(batch) < maxBatchReqs {
-			select {
-			case req := <-sh.reqs:
-				batch = append(batch, req)
-			case <-timer.C:
-				return batch
-			case <-sh.quit:
-				return batch
-			}
+// drain commits everything queued, at most maxBatchReqs requests per
+// batch, until the queue is empty. The queue and the drained slice swap
+// backing arrays, so a steady state allocates nothing.
+func (sh *shard) drain() {
+	for {
+		sh.qmu.Lock()
+		q := sh.queue
+		sh.queue = sh.spare
+		sh.qmu.Unlock()
+		if len(q) == 0 {
+			sh.spare = q
+			return
 		}
-		return batch
-	}
-	for len(batch) < maxBatchReqs {
-		select {
-		case req := <-sh.reqs:
-			batch = append(batch, req)
-		default:
-			return batch
+		for b := q; len(b) > 0; {
+			n := min(len(b), maxBatchReqs)
+			sh.commit(b[:n])
+			b = b[n:]
 		}
+		clear(q) // drop the payload references
+		sh.spare = q[:0]
 	}
-	return batch
 }
 
 // commit encodes one batch into commit frames, writes and fsyncs them, then
-// publishes the staged state and acks. On a write error the partial bytes
+// publishes the staged state and runs the completions. On a write error the partial bytes
 // are truncated away so disk and index stay consistent; if even that fails
 // the shard is failed sticky.
-func (sh *shard) commit(batch []*request) {
+func (sh *shard) commit(batch []request) {
 	sh.mu.Lock()
 	failed := sh.failed
 	sh.mu.Unlock()
@@ -113,15 +107,15 @@ func (sh *shard) commit(batch []*request) {
 		failed = sh.ensureActive()
 	}
 	if failed != nil {
-		for _, req := range batch {
-			req.resp <- failed
+		for i := range batch {
+			batch[i].done(failed)
 		}
 		return
 	}
 
 	enc := commitEncoder{sh: sh}
-	for _, req := range batch {
-		req.err = enc.add(req)
+	for i := range batch {
+		batch[i].err = enc.add(&batch[i])
 	}
 	frames := enc.finish()
 
@@ -142,15 +136,15 @@ func (sh *shard) commit(batch []*request) {
 		if terr := sh.active.Truncate(sh.activeSize); terr != nil {
 			sh.fail(fmt.Errorf("tsdb: truncate after failed commit: %w", terr))
 		}
-		for _, req := range batch {
-			req.resp <- werr
+		for i := range batch {
+			batch[i].done(werr)
 		}
 		return
 	}
 
 	sh.publish(frames, enc.all)
-	for _, req := range batch {
-		req.resp <- req.err
+	for i := range batch {
+		batch[i].done(batch[i].err)
 	}
 
 	if sh.activeSize >= sh.store.opts.segmentBytes {
@@ -355,48 +349,32 @@ type commitEncoder struct {
 // add encodes one request into the current frame. A returned error rejects
 // just this request; the rest of the batch proceeds.
 func (e *commitEncoder) add(req *request) error {
-	switch req.op {
-	case reqCreate, reqImport:
-		if ps := e.lookup(req.name); ps != nil {
-			return fmt.Errorf("tsdb: series %q already exists", req.name)
+	switch req.Kind {
+	case WriteMeta:
+		if ps := e.lookup(req.Name); ps != nil {
+			return fmt.Errorf("tsdb: series %q already exists", req.Name)
 		}
-		ps := e.intern(req.name)
+		ps := e.intern(req.Name)
 		scratch := e.internSub(nil, ps)
 		metaOp, encMeta := byte(opMeta), appendMeta
-		if req.meta.Predictor != 0 || req.meta.EVTQ != 0 {
+		if req.Meta.Predictor != 0 || req.Meta.EVTQ != 0 {
 			metaOp, encMeta = opMetaV2, appendMetaV2
 		}
 		scratch = e.encodeSub(scratch, metaOp, ps.id, func(b []byte) []byte {
-			return encMeta(b, req.meta)
+			return encMeta(b, req.Meta)
 		})
-		if req.op == reqImport {
-			scratch = e.encodePoints(scratch, ps, req.values)
-			run := -1
-			for i, anomalous := range req.labels {
-				if anomalous && run < 0 {
-					run = i
-				}
-				if !anomalous && run >= 0 {
-					scratch = e.encodeLabel(scratch, ps.id, run, i, true)
-					run = -1
-				}
-			}
-			if run >= 0 {
-				scratch = e.encodeLabel(scratch, ps.id, run, len(req.labels), true)
-			}
-		}
-		if err := e.emit(req.name, ps, scratch); err != nil {
-			e.unstage(req.name, ps)
+		if err := e.emit(req.Name, ps, scratch); err != nil {
+			e.unstage(req.Name, ps)
 			return err
 		}
 		return nil
-	case reqPoints:
-		ps := e.lookup(req.name)
+	case WritePoints:
+		ps := e.lookup(req.Name)
 		var scratch []byte
 		if ps == nil {
-			// Blind append without a create: intern and log it anyway, like
-			// the legacy store did; Load will report the missing meta.
-			ps = e.intern(req.name)
+			// Blind append without a create: intern and log it anyway; Load
+			// will report the missing meta.
+			ps = e.intern(req.Name)
 			scratch = e.internSub(nil, ps)
 		}
 		if ps.ser != nil && !ps.chainOK {
@@ -405,44 +383,44 @@ func (e *commitEncoder) add(req *request) error {
 			}
 		}
 		saved := ps.chain
-		scratch = e.encodePoints(scratch, ps, req.values)
-		if err := e.emit(req.name, ps, scratch); err != nil {
+		scratch = e.encodePoints(scratch, ps, req.Values)
+		if err := e.emit(req.Name, ps, scratch); err != nil {
 			ps.chain = saved
 			if ps.created {
-				e.unstage(req.name, ps)
+				e.unstage(req.Name, ps)
 			}
 			return err
 		}
 		ps.wrotePoints = true
 		return nil
-	case reqLabel, reqTypedLabel:
-		ps := e.lookup(req.name)
+	case WriteLabel, WriteTypedLabel:
+		ps := e.lookup(req.Name)
 		var scratch []byte
 		if ps == nil {
-			ps = e.intern(req.name)
+			ps = e.intern(req.Name)
 			scratch = e.internSub(nil, ps)
 		}
-		if req.op == reqTypedLabel {
-			scratch = e.encodeTypedLabel(scratch, ps.id, req.start, req.end, req.anomalous, req.class)
+		if req.Kind == WriteTypedLabel {
+			scratch = e.encodeTypedLabel(scratch, ps.id, req.Start, req.End, req.Anomalous, req.Class)
 		} else {
-			scratch = e.encodeLabel(scratch, ps.id, req.start, req.end, req.anomalous)
+			scratch = e.encodeLabel(scratch, ps.id, req.Start, req.End, req.Anomalous)
 		}
-		if err := e.emit(req.name, ps, scratch); err != nil {
+		if err := e.emit(req.Name, ps, scratch); err != nil {
 			if ps.created {
-				e.unstage(req.name, ps)
+				e.unstage(req.Name, ps)
 			}
 			return err
 		}
 		return nil
-	case reqTombstone:
-		ps := e.lookup(req.name)
+	case writeTombstone:
+		ps := e.lookup(req.Name)
 		if ps == nil || ps.tomb {
 			return nil // already gone; tombstoning is idempotent
 		}
 		ps.tomb = true
-		return e.emit(req.name, ps, e.encodeSub(nil, opTombstone, ps.id, nil))
+		return e.emit(req.Name, ps, e.encodeSub(nil, opTombstone, ps.id, nil))
 	}
-	return fmt.Errorf("tsdb: unknown request op %d", req.op)
+	return fmt.Errorf("tsdb: unknown write kind %d", req.Kind)
 }
 
 // lookup resolves a name against the staged view first, then the committed

@@ -6,7 +6,10 @@
 // that batches concurrent writes into group-commit frames — one
 // varint-framed, CRC32-C-protected frame per write+fsync, carrying interned
 // series IDs (a per-shard name dictionary) and XOR-compressed point
-// payloads. The design goals, in order:
+// payloads. Writers submit without blocking (Submit) and learn the outcome
+// from a completion the appender runs after the frame's fsync; the
+// synchronous CreateSeries/AppendPoints/AppendLabel/AppendTypedLabel wrap
+// that submit with a wait. The design goals, in order:
 //
 //   - Durability with attribution: an append acknowledged to the caller has
 //     been fsynced; a torn tail from a crash loses only unacknowledged
@@ -21,13 +24,11 @@
 //     commit batch put steady-state WAL cost at a few bytes per point,
 //     versus ~40+ for the JSON-lines format this replaced.
 //
-// Logs written by the legacy one-file-per-series JSON-lines format are still
-// readable: Open discovers them, Load falls back to the legacy reader, and
-// the first write to a legacy series imports it into segments (see
-// legacy.go). Quarantine keeps its old rename-aside behaviour for legacy
-// files; segment-resident series are retired with a durable tombstone record
-// instead, which keeps the damaged frames inspectable (`opprenticectl wal
-// cat`) while freeing the name. Segment rotation caps file size, and
+// The one-file-per-series JSON-lines format this replaced ("<name>.wal") is
+// not read: Open refuses a directory that still holds such a log.
+// Quarantine retires a damaged series with a durable tombstone record,
+// which keeps the damaged frames inspectable (`opprenticectl wal cat`)
+// while freeing the name. Segment rotation caps file size, and
 // compaction deletes only sealed segments holding exclusively tombstoned
 // state — retention never drops anything a replay could still need.
 package tsdb
@@ -53,8 +54,7 @@ import (
 // errors. Callers can errors.Is for it to decide on quarantine.
 var ErrCorrupt = errors.New("corrupt WAL")
 
-// Meta describes a series at creation time. The JSON tags are retained for
-// the legacy log format.
+// Meta describes a series at creation time.
 type Meta struct {
 	Name            string    `json:"name"`
 	Start           time.Time `json:"start"`
@@ -80,7 +80,7 @@ type Loaded struct {
 	Labels []bool
 	// Types carries the per-point anomaly class (core.AnomalyClass wire
 	// codes; 0 = none/untyped). It is nil when the log holds no typed label
-	// record — legacy logs and series labeled without a type — and otherwise
+	// record — series labeled without a type — and otherwise
 	// runs parallel to Labels.
 	Types []uint8
 }
@@ -138,10 +138,6 @@ type Store struct {
 	// race the appender shutdown.
 	opMu   sync.RWMutex
 	closed bool
-
-	// migrateMu serializes legacy-log imports (first write to a legacy
-	// series); see legacy.go.
-	migrateMu sync.Mutex
 }
 
 // extent locates one frame referencing a series: segment sequence number,
@@ -209,9 +205,15 @@ type shard struct {
 	torn        bool
 	rotateFirst bool
 
-	reqs chan *request
-	quit chan struct{}
-	wg   sync.WaitGroup
+	// The appender's queue: enqueue appends under qmu and pokes wake
+	// (capacity 1); the appender swaps the slice out whole with spare, its
+	// own drained backing array.
+	qmu   sync.Mutex
+	queue []request
+	spare []request
+	wake  chan struct{}
+	quit  chan struct{}
+	wg    sync.WaitGroup
 
 	// Appender-owned; nil until the first write after Open.
 	active *os.File
@@ -237,6 +239,10 @@ func Open(dir string, opt ...Option) (*Store, error) {
 		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
 			existing++
 		}
+		if e.Type().IsRegular() && strings.HasSuffix(e.Name(), ".wal") {
+			return nil, fmt.Errorf("tsdb: %s: legacy JSON-lines WAL format is unsupported",
+				filepath.Join(dir, e.Name()))
+		}
 	}
 	n := o.shards
 	if existing > 0 {
@@ -250,7 +256,7 @@ func Open(dir string, opt ...Option) (*Store, error) {
 			dir:    filepath.Join(dir, shardDirName(i)),
 			byName: make(map[string]*series),
 			byID:   make(map[uint64]*series),
-			reqs:   make(chan *request, 1024),
+			wake:   make(chan struct{}, 1),
 			quit:   make(chan struct{}),
 		}
 		if err := sh.scan(); err != nil {
@@ -280,16 +286,115 @@ func shardIndex(name string, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
+// WriteKind names the record a Write carries.
+type WriteKind uint8
+
+const (
+	// WriteMeta creates the series described by Write.Meta.
+	WriteMeta WriteKind = iota + 1
+	// WritePoints appends Write.Values.
+	WritePoints
+	// WriteLabel labels [Start, End) as Anomalous.
+	WriteLabel
+	// WriteTypedLabel is WriteLabel carrying an anomaly Class.
+	WriteTypedLabel
+	// writeTombstone retires the series (Quarantine, Remove).
+	writeTombstone
+)
+
+// Write is one durable record for one series' log.
+type Write struct {
+	Kind WriteKind
+	// Name names the series; a WriteMeta takes it from Meta.Name.
+	Name string
+	Meta Meta
+	// Values are the points of a WritePoints, in order. Submit holds the
+	// slice, not a copy, until the completion runs.
+	Values []float64
+	// Start, End, Anomalous and Class describe a label over the half-open
+	// range [Start, End); Class uses the core.AnomalyClass wire codes and is
+	// read only by WriteTypedLabel (replay exposes it via Loaded.Types).
+	Start, End int
+	Anomalous  bool
+	Class      uint8
+}
+
+// check validates w, resolving a meta write's Name.
+func (w *Write) check() error {
+	if w.Kind == WriteMeta {
+		w.Name = w.Meta.Name
+	}
+	if err := timeseries.ValidName(w.Name); err != nil {
+		return fmt.Errorf("tsdb: %w", err)
+	}
+	switch w.Kind {
+	case WriteMeta:
+	case WritePoints:
+		if len(w.Values) == 0 {
+			return errors.New("tsdb: empty points write")
+		}
+	case WriteLabel, WriteTypedLabel:
+		if w.Start < 0 || w.End <= w.Start {
+			return fmt.Errorf("tsdb: invalid label range [%d, %d)", w.Start, w.End)
+		}
+	default:
+		return fmt.Errorf("tsdb: unknown write kind %d", w.Kind)
+	}
+	return nil
+}
+
+// Submit queues one write on its series' shard appender and returns without
+// waiting for disk: it never blocks on a commit in progress, and the queue
+// preallocates nothing per series. When Submit returns nil, done runs
+// exactly once on the appender goroutine — after the frame carrying w was
+// fsynced (nil), or with the error that refused it. Writes to one series
+// reach the log, and complete, in submission order. done must be cheap and
+// must not block. An invalid write or a closed store returns an error and
+// done never runs.
+func (s *Store) Submit(w Write, done func(error)) error {
+	if err := w.check(); err != nil {
+		return err
+	}
+	return s.submit(w, done)
+}
+
+func (s *Store) submit(w Write, done func(error)) error {
+	s.opMu.RLock()
+	defer s.opMu.RUnlock()
+	if s.closed {
+		return errors.New("tsdb: store is closed")
+	}
+	s.shardFor(w.Name).enqueue(request{Write: w, done: done})
+	return nil
+}
+
+// await submits w and waits for its completion, or for ctx: cancellation
+// abandons the wait, not the write, which may still commit.
+func (s *Store) await(ctx context.Context, w Write) error {
+	res := make(chan error, 1)
+	if err := s.submit(w, func(err error) { res <- err }); err != nil {
+		return err
+	}
+	select {
+	case err := <-res:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// write is the synchronous form of Submit.
+func (s *Store) write(ctx context.Context, w Write) error {
+	if err := w.check(); err != nil {
+		return err
+	}
+	return s.await(ctx, w)
+}
+
 // CreateSeries durably registers a new series. The name must be unused; a
 // tombstoned name may be reused.
 func (s *Store) CreateSeries(meta Meta) error {
-	if err := timeseries.ValidName(meta.Name); err != nil {
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	if err := s.migrateLegacy(meta.Name); err != nil {
-		return err
-	}
-	return s.send(context.Background(), &request{op: reqCreate, name: meta.Name, meta: meta})
+	return s.write(context.Background(), Write{Kind: WriteMeta, Meta: meta})
 }
 
 // AppendPoints durably appends a batch of consecutive point values. It
@@ -297,35 +402,21 @@ func (s *Store) CreateSeries(meta Meta) error {
 // is done — cancellation abandons the wait, not the write, which may still
 // commit.
 func (s *Store) AppendPoints(ctx context.Context, name string, values []float64) error {
-	if err := timeseries.ValidName(name); err != nil {
-		return fmt.Errorf("tsdb: %w", err)
-	}
 	if len(values) == 0 {
+		if err := timeseries.ValidName(name); err != nil {
+			return fmt.Errorf("tsdb: %w", err)
+		}
 		return nil
 	}
-	if err := s.migrateLegacy(name); err != nil {
-		return err
-	}
-	// The appender holds the slice until commit; copy so the caller may
-	// reuse its buffer immediately.
-	vals := make([]float64, len(values))
-	copy(vals, values)
-	return s.send(ctx, &request{op: reqPoints, name: name, values: vals})
+	// The appender holds the slice until commit, and a canceled wait
+	// returns before that: copy so the caller may reuse its buffer at once.
+	return s.write(ctx, Write{Kind: WritePoints, Name: name, Values: append([]float64(nil), values...)})
 }
 
 // AppendLabel durably records one label action over the half-open range
 // [start, end). Context semantics match AppendPoints.
 func (s *Store) AppendLabel(ctx context.Context, name string, start, end int, anomalous bool) error {
-	if err := timeseries.ValidName(name); err != nil {
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	if start < 0 || end <= start {
-		return fmt.Errorf("tsdb: invalid label range [%d, %d)", start, end)
-	}
-	if err := s.migrateLegacy(name); err != nil {
-		return err
-	}
-	return s.send(ctx, &request{op: reqLabel, name: name, start: start, end: end, anomalous: anomalous})
+	return s.write(ctx, Write{Kind: WriteLabel, Name: name, Start: start, End: end, Anomalous: anomalous})
 }
 
 // AppendTypedLabel durably records one label action carrying an anomaly
@@ -333,35 +424,7 @@ func (s *Store) AppendLabel(ctx context.Context, name string, start, end int, an
 // AppendPoints. class uses the core.AnomalyClass wire codes; replay exposes
 // it via Loaded.Types.
 func (s *Store) AppendTypedLabel(ctx context.Context, name string, start, end int, anomalous bool, class uint8) error {
-	if err := timeseries.ValidName(name); err != nil {
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	if start < 0 || end <= start {
-		return fmt.Errorf("tsdb: invalid label range [%d, %d)", start, end)
-	}
-	if err := s.migrateLegacy(name); err != nil {
-		return err
-	}
-	return s.send(ctx, &request{op: reqTypedLabel, name: name, start: start, end: end, anomalous: anomalous, class: class})
-}
-
-// send enqueues one request on the owning shard's appender and waits for
-// the commit ack (or ctx).
-func (s *Store) send(ctx context.Context, req *request) error {
-	s.opMu.RLock()
-	if s.closed {
-		s.opMu.RUnlock()
-		return errors.New("tsdb: store is closed")
-	}
-	req.resp = make(chan error, 1)
-	s.shardFor(req.name).reqs <- req
-	s.opMu.RUnlock()
-	select {
-	case err := <-req.resp:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return s.write(ctx, Write{Kind: WriteTypedLabel, Name: name, Start: start, End: end, Anomalous: anomalous, Class: class})
 }
 
 // Load replays one series and returns its state. Damaged frames (or a
@@ -375,7 +438,7 @@ func (s *Store) Load(name string) (*Loaded, error) {
 	ser := sh.byName[name]
 	if ser == nil {
 		sh.mu.Unlock()
-		return s.legacyLoad(name)
+		return nil, fmt.Errorf("tsdb: no series %q: %w", name, fs.ErrNotExist)
 	}
 	if ser.corrupt {
 		sh.mu.Unlock()
@@ -521,44 +584,25 @@ func (sh *shard) readExtents(extents []extent, fn func(body []byte) error) error
 	return nil
 }
 
-// List returns every known series name — segment-resident (including
-// corrupt ones, so restore can quarantine them) and legacy JSON-lines logs
-// — sorted.
+// List returns every known series name, including corrupt ones so restore
+// can quarantine them, sorted.
 func (s *Store) List() ([]string, error) {
-	seen := make(map[string]bool)
+	var names []string
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for name := range sh.byName {
-			seen[name] = true
+			names = append(names, name)
 		}
 		sh.mu.Unlock()
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: %w", err)
-	}
-	for _, e := range entries {
-		if !e.Type().IsRegular() {
-			continue
-		}
-		if name, ok := strings.CutSuffix(e.Name(), legacySuffix); ok && timeseries.ValidName(name) == nil {
-			seen[name] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for name := range seen {
-		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names, nil
 }
 
-// Quarantine retires a damaged series. A segment-resident series gets a
-// durable tombstone: the name becomes reusable, replay drops its state, and
-// the damaged frames stay on disk for inspection (wal cat) until compaction
-// finds them fully retired. A legacy log keeps the historical behaviour and
-// is renamed aside to "<name>.wal.corrupt". The returned string names where
-// the evidence lives.
+// Quarantine retires a damaged series with a durable tombstone: the name
+// becomes reusable, replay drops its state, and the damaged frames stay on
+// disk for inspection (wal cat) until compaction finds them fully retired.
+// The returned string names where the evidence lives.
 func (s *Store) Quarantine(name string) (string, error) {
 	if err := timeseries.ValidName(name); err != nil {
 		return "", fmt.Errorf("tsdb: %w", err)
@@ -568,16 +612,16 @@ func (s *Store) Quarantine(name string) (string, error) {
 	_, exists := sh.byName[name]
 	sh.mu.Unlock()
 	if !exists {
-		return s.legacyQuarantine(name)
+		return "", fmt.Errorf("tsdb: quarantine: no series %q: %w", name, fs.ErrNotExist)
 	}
-	if err := s.send(context.Background(), &request{op: reqTombstone, name: name}); err != nil {
+	if err := s.await(context.Background(), Write{Kind: writeTombstone, Name: name}); err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("%s (tombstoned; frames retained until compaction)", sh.dir), nil
 }
 
-// Remove deletes a series (tombstone for segment-resident series, file
-// removal for legacy logs). Removing an unknown series is a no-op.
+// Remove deletes a series with a durable tombstone. Removing an unknown
+// series is a no-op.
 func (s *Store) Remove(name string) error {
 	if err := timeseries.ValidName(name); err != nil {
 		return fmt.Errorf("tsdb: %w", err)
@@ -586,13 +630,10 @@ func (s *Store) Remove(name string) error {
 	sh.mu.Lock()
 	_, exists := sh.byName[name]
 	sh.mu.Unlock()
-	if exists {
-		return s.send(context.Background(), &request{op: reqTombstone, name: name})
+	if !exists {
+		return nil
 	}
-	if err := os.Remove(s.legacyPath(name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	return nil
+	return s.await(context.Background(), Write{Kind: writeTombstone, Name: name})
 }
 
 // Compact deletes sealed segments that hold only tombstoned state. The

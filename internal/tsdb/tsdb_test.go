@@ -4,6 +4,9 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -58,59 +61,6 @@ func TestRoundTrip(t *testing.T) {
 	for i := range wantVals {
 		if got.Values[i] != wantVals[i] || got.Labels[i] != wantLabels[i] {
 			t.Fatalf("replay = %v / %v", got.Values, got.Labels)
-		}
-	}
-}
-
-func TestLegacyLoadSurvivesTornTail(t *testing.T) {
-	s := openTemp(t)
-	// A legacy JSON-lines log whose final line was torn by a crash.
-	content := `{"kind":"meta","meta":{"name":"pv","interval_seconds":60}}
-{"kind":"points","values":[1,2]}
-{"kind":"points","values":[9,9`
-	if err := os.WriteFile(filepath.Join(s.dir, "pv.wal"), []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Load("pv")
-	if err != nil {
-		t.Fatalf("torn tail should be tolerated: %v", err)
-	}
-	if len(got.Values) != 2 {
-		t.Errorf("values = %v, want the 2 intact points", got.Values)
-	}
-}
-
-func TestLegacyLoadRejectsMidLogCorruption(t *testing.T) {
-	s := openTemp(t)
-	path := filepath.Join(s.dir, "bad.wal")
-	content := `{"kind":"meta","meta":{"name":"bad","interval_seconds":60}}
-not json at all
-{"kind":"points","values":[1]}
-`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Load("bad"); err == nil {
-		t.Error("mid-log corruption accepted")
-	}
-}
-
-func TestLegacyLoadValidations(t *testing.T) {
-	s := openTemp(t)
-	cases := map[string]string{
-		"nometa":    `{"kind":"points","values":[1]}` + "\n",
-		"dupmeta":   `{"kind":"meta","meta":{"name":"x"}}` + "\n" + `{"kind":"meta","meta":{"name":"x"}}` + "\n",
-		"badlabel":  `{"kind":"meta","meta":{"name":"x"}}` + "\n" + `{"kind":"label","start":0,"end":5,"anomalous":true}` + "\n",
-		"unknown":   `{"kind":"meta","meta":{"name":"x"}}` + "\n" + `{"kind":"zap"}` + "\n",
-		"emptymeta": `{"kind":"meta"}` + "\n",
-	}
-	for name, content := range cases {
-		path := filepath.Join(s.dir, name+".wal")
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Load(name); err == nil {
-			t.Errorf("%s: accepted", name)
 		}
 	}
 }
@@ -233,5 +183,92 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 	s.Close()
 	if err := s.AppendPoints(ctx, "pv", []float64{1}); err == nil {
 		t.Error("append after Close accepted")
+	}
+}
+
+// TestLegacyFixtureRefused: a data directory still holding logs of the
+// retired one-file-per-series JSON-lines format (testdata/legacy) must not
+// open as an empty store: Open fails naming the file and the format.
+func TestLegacyFixtureRefused(t *testing.T) {
+	src := filepath.Join("testdata", "legacy")
+	dir := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a directory of legacy JSON-lines logs")
+	}
+	if !strings.Contains(err.Error(), "lat.wal") || !strings.Contains(err.Error(), "unsupported") {
+		t.Fatalf("Open error %q does not name the file and say the format is unsupported", err)
+	}
+}
+
+// TestSubmitCompletesInOrder: Submit returns before the write is durable,
+// every accepted write's completion runs exactly once, a series' writes
+// complete in submission order, and a write Submit refuses never completes.
+func TestSubmitCompletesInOrder(t *testing.T) {
+	s := openTemp(t)
+	if err := s.CreateSeries(meta); err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	var (
+		mu    sync.Mutex
+		order []int
+		wg    sync.WaitGroup
+	)
+	want := make([]float64, n)
+	for i := range want {
+		want[i] = float64(i)
+		wg.Add(1)
+		err := s.Submit(Write{Kind: WritePoints, Name: "pv", Values: want[i : i+1]}, func(err error) {
+			if err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			wg.Done()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("completion %d was write %d: out of submission order", i, got)
+		}
+	}
+	got, err := s.Load("pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Values, want) {
+		t.Fatalf("replayed %v, want %v", got.Values, want)
+	}
+
+	refused := func(error) { t.Error("completion ran for a refused write") }
+	for _, w := range []Write{
+		{Kind: WritePoints, Name: "pv"},
+		{Kind: WriteLabel, Name: "pv", Start: 2, End: 2},
+		{Kind: WritePoints, Name: "a/b", Values: []float64{1}},
+		{Kind: writeTombstone, Name: "pv"},
+	} {
+		if err := s.Submit(w, refused); err == nil {
+			t.Errorf("Submit accepted %+v", w)
+		}
 	}
 }
